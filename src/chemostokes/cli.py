@@ -6,7 +6,8 @@
     chemostokes regcheck  --eps 0.1,0.05 [--samples 10000]
 
 Global flags: --output-dir (overrides the config's output.dir / sweep
-root), --threads (worker processes for sweep runs; a single simulate is
+root), --threads (sweep members run at once, the calling process
+included; defaults to the spec's parallel_runs; a single simulate is
 always single-process), --seed (initial-condition perturbation / sampling
 seed).  Exit codes: 0 success, 1 invalid configuration or parameters,
 2 numerical failure (partial outputs are kept with a failed manifest).
@@ -32,10 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "chemotaxis-Stokes system")
     parser.add_argument("--output-dir", default=None,
                         help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweep runs "
-                             "(simulate is single-process; results do not "
-                             "depend on this)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="sweep members run at once: this process "
+                             "and THREADS-1 spawn workers (default: the "
+                             "spec's parallel_runs; simulate is "
+                             "single-process; results do not depend on "
+                             "this)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for initial-condition perturbations "
                              "and regcheck sampling")

@@ -175,12 +175,15 @@ def parse_config(source) -> SimConfig:
             pv = _num(p, "diagnostics.lp")
             _check(pv >= 1.0, f"diagnostics.lp: exponents must be >= 1, got {pv}")
             lp_resolved.append(pv)
+    window = _num(dg.get("window", 1.0), "diagnostics.window")
+    _check(0.0 < window < float("inf"),
+           f"diagnostics.window: must be finite and > 0, got {window}")
     diag = DiagnosticsParams(
         kappa=None if dg.get("kappa") is None else _num(dg["kappa"], "diagnostics.kappa"),
         c1_quasi=None if dg.get("c1_quasi") is None else _num(dg["c1_quasi"], "diagnostics.c1_quasi"),
         sigma_c=None if dg.get("sigma_c") is None else _num(dg["sigma_c"], "diagnostics.sigma_c"),
         lp=tuple(lp_resolved),
-        window=_num(dg.get("window", 1.0), "diagnostics.window"),
+        window=window,
     )
 
     output = raw.get("output", {})

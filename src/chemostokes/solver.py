@@ -67,20 +67,6 @@ class FieldState:
                           [ua.copy() for ua in self.u], self.p.copy())
 
 
-@dataclass
-class StepReport:
-    t: float
-    dt: float
-    cfl_advective: float     # dt * summed advective rate
-    cfl_drift: float
-    cfl_diffusive: float
-    residuals: dict
-    n_min: float
-    n_max: float
-    c_max: float
-    div_u_inf: float
-
-
 # ============================================================
 # initial conditions
 # ============================================================
@@ -386,23 +372,17 @@ def choose_dt(grid: Grid, state: FieldState, model, dt_max: float,
 
 
 def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
-         dt: float) -> StepReport:
-    """Advance the coupled state by dt (Lie order u -> c -> n)."""
+         dt: float) -> dict:
+    """Advance the coupled state by dt (Lie order u -> c -> n); returns
+    the sub-steps' residuals and guard margins."""
     if dt <= 0.0:
         raise NumericalError(f"nonpositive dt = {dt} at t = {state.t}")
-    r_adv, r_drift, r_diff = stability_rates(grid, state, model)
     residuals = {}
     residuals.update(step_u(grid, cache, state, model, dt))
     residuals.update(step_c(grid, cache, state, model, dt))
     residuals.update(step_n(grid, state, model, dt))
     state.t += dt
-    return StepReport(
-        t=state.t, dt=dt,
-        cfl_advective=dt * r_adv, cfl_drift=dt * r_drift,
-        cfl_diffusive=dt * r_diff,
-        residuals=residuals,
-        n_min=float(np.min(state.n)), n_max=float(np.max(state.n)),
-        c_max=float(np.max(state.c)), div_u_inf=residuals["div_u_inf"])
+    return residuals
 
 
 # ============================================================
@@ -552,12 +532,12 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                 closing = state.t + dt >= target - 1e-12 * max(1.0, target)
                 if closing:
                     dt = target - state.t
-                report = step(grid, cache, state, model, dt)
+                residuals = step(grid, cache, state, model, dt)
                 if closing:
                     state.t = target
                 tallies.update(grid, model, state, dt)
                 steps_taken += 1
-                for key, val in report.residuals.items():
+                for key, val in residuals.items():
                     if key != "c_min_preclip":
                         max_residuals[key] = max(
                             max_residuals.get(key, 0.0), val)

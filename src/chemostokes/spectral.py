@@ -30,9 +30,11 @@ from .grid import Grid, axslice, divergence, face_diff, full_faces
 class SpectralCache:
     """Precomputed transform eigenvalues for one grid.
 
-    Holds the positive eigenvalue array Lam of -Lap_h for the cell-centered
-    Neumann operator and, per velocity component, for the mixed
-    DST-I/DST-II face operator.
+    Holds the eigenvalue array Lam of -Lap_h for the cell-centered
+    Neumann operator (zero at the constant mode), the same array with
+    that mode set to 1 for the Poisson divide, and, per velocity
+    component, the positive eigenvalues of the mixed DST-I/DST-II face
+    operator.
     """
 
     def __init__(self, grid: Grid):
@@ -46,6 +48,8 @@ class SpectralCache:
             k = np.arange(n)
             cell.append(4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h))
         self.cell_lam = _broadcast_sum(cell)
+        self.poisson_lam = self.cell_lam.copy()
+        self.poisson_lam[(0,) * dim] = 1.0   # avoid 0/0; mode is zeroed
 
         # face operators: DST-I along the own axis (N-1 interior faces,
         # modes k = 1..N-1), DST-II along the others (N samples, modes
@@ -78,11 +82,8 @@ def solve_neumann_poisson(cache: SpectralCache, rhs: np.ndarray) -> np.ndarray:
     expected to pass an rhs whose mean is already at round-off.
     """
     rhat = dctn(rhs, type=2, norm="ortho")
-    origin = (0,) * rhs.ndim
-    lam = cache.cell_lam.copy()
-    lam[origin] = 1.0           # avoid 0/0; mode is zeroed anyway
-    phat = -rhat / lam
-    phat[origin] = 0.0
+    phat = -rhat / cache.poisson_lam
+    phat[(0,) * rhs.ndim] = 0.0
     return idctn(phat, type=2, norm="ortho")
 
 

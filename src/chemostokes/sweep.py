@@ -1,4 +1,4 @@
-"""Parameter sweeps: one base config, one swept axis, parallel runs.
+"""Parameter sweeps: one base config, one swept axis, members at once.
 
 A sweep spec is JSON:
 
@@ -6,13 +6,17 @@ A sweep spec is JSON:
      "base_config": { ... or a path string ... },
      "parallel_runs": 3}
 
-Each value gets its own run directory under the sweep output root; runs
-execute in separate processes (spawn), so results are independent of the
-worker count.  The summary CSV orders rows by the given value order and,
-for eps sweeps, records the L1 distance between final density fields of
-consecutive runs (the regularization-convergence monitor).  For m sweeps
-every run directory gets an exponents_certificate.json with whatever part
-of the exponent algebra is defined at that m.
+Each value gets its own run directory under the sweep output root.
+parallel_runs = K runs K members at once: the calling process is one of
+them and K - 1 spawn workers are the others.  Members are handed out one
+at a time, in value order, to whichever of them is free, so the caller
+works while the spawn workers boot.  A member depends only on its own
+config, so results are independent of K.  The summary CSV orders rows by
+the given value order and, for eps sweeps, records the L1 distance
+between final density fields of consecutive runs (the
+regularization-convergence monitor).  For m sweeps every run directory
+gets an exponents_certificate.json with whatever part of the exponent
+algebra is defined at that m.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import csv
 import json
 import multiprocessing as mp
 import os
+import threading
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -115,8 +122,9 @@ def _value_tag(axis: str, value: float) -> str:
 
 
 def run_one(task):
-    """Worker: execute one sweep member.  Must stay a module-level
-    function (spawn start method pickles it by reference)."""
+    """Execute one sweep member, in the calling process or a spawn worker.
+    Must stay a module-level function: the spawn start method pickles it
+    by reference, and run_sweep looks it up by name at each call."""
     cfg_dict, run_dir, seed = task
     cfg_dict = dict(cfg_dict)
     cfg_dict.setdefault("output", {})["dir"] = run_dir
@@ -182,9 +190,56 @@ def _final_density(run_dir: str):
     return arr
 
 
+def _run_members(tasks, nworkers: int) -> list:
+    """Summaries of all tasks, in task order, with nworkers members at
+    once: the calling process and nworkers - 1 spawn workers.
+
+    One pending queue feeds both.  The pool is fed from its completion
+    callbacks, which run on the pool's result thread, so a spawn worker
+    gets its next member even while the caller is busy running one.
+    """
+    summaries = [None] * len(tasks)
+    pending = deque(range(len(tasks)))
+    queued = []                     # (task index, AsyncResult)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return pending.popleft() if pending else None
+
+    def feed(_=None):
+        # taking a member and queueing it happen under one lock: once the
+        # caller finds the queue empty, every pool member is in `queued`
+        with lock:
+            if pending:
+                i = pending.popleft()
+                queued.append((i, pool.apply_async(
+                    run_one, (tasks[i],), callback=feed,
+                    error_callback=feed)))
+
+    pool = mp.get_context("spawn").Pool(nworkers - 1) if nworkers > 1 \
+        else None
+    with pool or nullcontext():
+        try:
+            for _ in range(nworkers - 1):
+                feed()
+            while (i := take()) is not None:
+                summaries[i] = run_one(tasks[i])
+        finally:
+            with lock:              # a failing caller stops the feeding
+                pending.clear()
+        for i, result in queued:
+            summaries[i] = result.get()
+    return summaries
+
+
 def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
               seed: int = 0):
-    """Execute all members; returns (summaries, summary_csv_path)."""
+    """Execute all members; returns (summaries, summary_csv_path).
+
+    workers is the number of members run at once, the calling process
+    included; None takes the spec's parallel_runs.
+    """
     os.makedirs(out_root, exist_ok=True)
     tasks = []
     for value in spec.values:
@@ -193,13 +248,7 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
                       run_dir, seed))
 
     nworkers = workers if workers is not None else spec.parallel_runs
-    nworkers = max(1, min(nworkers, len(tasks)))
-    if nworkers == 1:
-        summaries = [run_one(t) for t in tasks]
-    else:
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(nworkers) as pool:
-            summaries = pool.map(run_one, tasks)
+    summaries = _run_members(tasks, max(1, min(nworkers, len(tasks))))
 
     for value, summary in zip(spec.values, summaries):
         summary["axis"] = spec.axis

@@ -235,4 +235,34 @@ def test_criterion_9_worker_count_determinism(tmp_path):
             return fh.read()
 
     assert csv_bytes("w1", 1) == csv_bytes("w8", 8)
+
+    # a sweep with 1, 2 and 3 members at once (the calling process and
+    # 0, 1 or 2 spawn workers) writes the same bytes
+    base = config6(t_final=0.1)
+    base["grid"]["cells"] = [16, 16]
+    base["time"]["sample_every"] = 0.05
+    spec = parse_sweep({"axis": "eps", "values": [0.1, 0.05, 0.025],
+                        "base_config": base})
+
+    def sweep_outputs(workers):
+        out = str(tmp_path / f"sweep{workers}")
+        summaries, path = run_sweep(spec, out, workers=workers, seed=5)
+        assert [s["status"] for s in summaries] == ["complete"] * 3
+        members = []
+        for s in summaries:
+            with open(os.path.join(s["run_dir"], "diagnostics.csv"),
+                      "rb") as fh:
+                csv = fh.read()
+            with open(os.path.join(s["run_dir"], "manifest.json")) as fh:
+                samples = json.load(fh)["samples"]
+            members.append((csv, [sorted((name, f["sha256"])
+                                         for name, f in smp["files"].items())
+                                  for smp in samples]))
+        with open(path) as fh:
+            summary = fh.read().replace(out, "")
+        return members, summary
+
+    serial = sweep_outputs(1)
+    assert sweep_outputs(2) == serial
+    assert sweep_outputs(3) == serial
     announce(9, "worker-count determinism", t0, 120.0)

@@ -89,6 +89,11 @@ def test_parse_config_defaults():
     (lambda d: d.pop("time"), "time"),
     (lambda d: d.update(seed=1.5), "seed"),
     (lambda d: d.update(diagnostics={"lp": [0.5]}), "diagnostics.lp"),
+    (lambda d: d.update(diagnostics={"window": -1.0}), "diagnostics.window"),
+    (lambda d: d.update(diagnostics={"window": float("inf")}),
+     "diagnostics.window"),
+    (lambda d: d.update(diagnostics={"window": float("nan")}),
+     "diagnostics.window"),
 ])
 def test_parse_config_rejections(mutate, fragment):
     raw = json.loads(json.dumps(TINY))
@@ -232,6 +237,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config",
                  write_json(tmp_path, "bad.json", bad)]) == 1
     capsys.readouterr()
+    # zero diagnostics window -> 1 at parse time, not a traceback at the end
+    zero = json.loads(json.dumps(TINY))
+    zero["diagnostics"] = {"window": 0}
+    assert main(["--output-dir", str(tmp_path / "zero"), "simulate",
+                 "--config", write_json(tmp_path, "zero.json", zero)]) == 1
+    assert "diagnostics.window" in capsys.readouterr().err
     # resume without a manifest -> 1
     cfg_path = write_json(tmp_path, "cfg.json", TINY)
     assert main(["--output-dir", str(tmp_path / "fresh"),
@@ -287,6 +298,34 @@ def test_cli_sweep_parallel(tmp_path, capsys):
     assert "eps=0.1: complete" in cap.out
     assert os.path.exists(os.path.join(str(tmp_path / "sw"),
                                        "sweep_summary.csv"))
+
+
+def test_cli_sweep_members_at_once(tmp_path, monkeypatch, capsys):
+    """--threads sets the members run at once; without it the spec's
+    parallel_runs does."""
+    from chemostokes import cli, sweep
+    run_members = sweep._run_members
+    passed, used = [], []
+
+    def recording_run_sweep(*args, workers=None, **kwargs):
+        passed.append(workers)
+        return run_sweep(*args, workers=workers, **kwargs)
+
+    def recording_run_members(tasks, nworkers):
+        used.append(nworkers)
+        return run_members(tasks, nworkers)
+
+    monkeypatch.setattr(cli, "run_sweep", recording_run_sweep)
+    monkeypatch.setattr(sweep, "_run_members", recording_run_members)
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY),
+        "parallel_runs": 2})
+    for tag, threads in (("spec", []), ("flag", ["--threads", "1"])):
+        assert main(["--output-dir", str(tmp_path / tag), *threads,
+                     "sweep", "--spec", spec_path]) == 0
+    capsys.readouterr()
+    assert passed == [None, 1]
+    assert used == [2, 1]
 
 
 def test_console_script_entry_point(tmp_path):
