@@ -6,7 +6,7 @@
     chemostokes regcheck  --eps 0.1,0.05 [--samples 10000]
 
 Global flags: --output-dir (overrides the config's output.dir / sweep
-root), --threads (sweep members run at once, the calling process
+root), --threads (sweep members run at once, >= 1, the calling process
 included; defaults to the spec's parallel_runs; a single simulate is
 always single-process), --seed (initial-condition perturbation / sampling
 seed).  Exit codes: 0 success, 1 invalid configuration or parameters,
@@ -34,10 +34,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=None,
                         help="override the output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="sweep members run at once: this process "
-                             "and THREADS-1 spawn workers (default: the "
-                             "spec's parallel_runs; simulate is "
-                             "single-process; results do not depend on "
+                        help="sweep members run at once, >= 1: this "
+                             "process and THREADS-1 spawn workers "
+                             "(default: the spec's parallel_runs; simulate "
+                             "is single-process; results do not depend on "
                              "this)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for initial-condition perturbations "

@@ -82,33 +82,49 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
+def _opt_num(obj: dict, key: str, where: str):
+    """An optional number: None when the key is absent or null."""
+    return None if obj.get(key) is None else _num(obj[key], f"{where}.{key}")
+
+
 def _check(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
 
 
+def load_json(source, what: str) -> dict:
+    """A JSON object from a dict, a JSON string, or a file path; `what`
+    names the document in error messages."""
+    if isinstance(source, dict):
+        return source
+    text = source
+    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+        with open(source) as fh:
+            text = fh.read()
+    elif isinstance(source, os.PathLike) or (
+            isinstance(source, str) and not source.lstrip().startswith("{")):
+        raise ConfigError(f"no such {what} file: {source}")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} is not valid JSON: {exc.msg} "
+            f"(line {exc.lineno}, column {exc.colno})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what}: top level must be a JSON object")
+    return raw
+
+
 def parse_config(source) -> SimConfig:
     """Parse a config from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source) as fh:
-                text = fh.read()
-        elif isinstance(text, str) and not text.lstrip().startswith("{"):
-            raise ConfigError(f"no such config file: {source}")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config is not valid JSON: {exc.msg} "
-                f"(line {exc.lineno}, column {exc.colno})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    raw = load_json(source, "config")
 
     gr = _req(raw, "grid", "config")
-    cells = tuple(int(c) for c in _req(gr, "cells", "grid"))
+    cells = _req(gr, "cells", "grid")
+    _check(isinstance(cells, (list, tuple)) and all(
+        isinstance(c, int) and not isinstance(c, bool) for c in cells),
+        f"grid.cells: must be a list of integers, got {cells!r}")
+    cells = tuple(cells)
     _check(len(cells) in (2, 3), f"grid.cells: need 2 or 3 axes, got {cells}")
     _check(all(c >= 2 for c in cells),
            f"grid.cells: need >= 2 cells per axis, got {cells}")
@@ -153,15 +169,12 @@ def parse_config(source) -> SimConfig:
     _check(t_final > 0.0, f"time.t_final: must be > 0, got {t_final}")
     dt_max = _num(_req(tm, "dt_max", "time"), "time.dt_max")
     _check(dt_max > 0.0, f"time.dt_max: must be > 0, got {dt_max}")
-    sample_every = tm.get("sample_every")
-    if sample_every is not None:
-        sample_every = _num(sample_every, "time.sample_every")
-        _check(0.0 < sample_every <= t_final,
-               f"time.sample_every: must lie in (0, t_final], got {sample_every}")
-    force_dt = tm.get("force_dt")
-    if force_dt is not None:
-        force_dt = _num(force_dt, "time.force_dt")
-        _check(force_dt > 0.0, f"time.force_dt: must be > 0, got {force_dt}")
+    sample_every = _opt_num(tm, "sample_every", "time")
+    _check(sample_every is None or 0.0 < sample_every <= t_final,
+           f"time.sample_every: must lie in (0, t_final], got {sample_every}")
+    force_dt = _opt_num(tm, "force_dt", "time")
+    _check(force_dt is None or force_dt > 0.0,
+           f"time.force_dt: must be > 0, got {force_dt}")
     time = TimeParams(t_final=t_final, dt_max=dt_max,
                       sample_every=sample_every, force_dt=force_dt)
 
@@ -179,9 +192,9 @@ def parse_config(source) -> SimConfig:
     _check(0.0 < window < float("inf"),
            f"diagnostics.window: must be finite and > 0, got {window}")
     diag = DiagnosticsParams(
-        kappa=None if dg.get("kappa") is None else _num(dg["kappa"], "diagnostics.kappa"),
-        c1_quasi=None if dg.get("c1_quasi") is None else _num(dg["c1_quasi"], "diagnostics.c1_quasi"),
-        sigma_c=None if dg.get("sigma_c") is None else _num(dg["sigma_c"], "diagnostics.sigma_c"),
+        kappa=_opt_num(dg, "kappa", "diagnostics"),
+        c1_quasi=_opt_num(dg, "c1_quasi", "diagnostics"),
+        sigma_c=_opt_num(dg, "sigma_c", "diagnostics"),
         lp=tuple(lp_resolved),
         window=window,
     )
@@ -197,8 +210,14 @@ def parse_config(source) -> SimConfig:
                      output_dir=out_dir, seed=seed, diagnostics=diag)
 
 
+def _present(**items) -> dict:
+    """The items whose value is not None (optional keys of the echo)."""
+    return {key: value for key, value in items.items() if value is not None}
+
+
 def config_to_dict(cfg: SimConfig) -> dict:
     """Canonical dict form of a config (manifest echo, resume comparison)."""
+    dg = cfg.diagnostics
     return {
         "grid": {"cells": list(cfg.grid_cells),
                  "extent": list(cfg.grid_extent)},
@@ -206,21 +225,15 @@ def config_to_dict(cfg: SimConfig) -> dict:
                   "eps": cfg.model.eps},
         "phi": {"gradient": list(cfg.model.phi_gradient)},
         "ic": {"n0": cfg.ic.n0, "c0": cfg.ic.c0, "u0": cfg.ic.u0,
-               **({"perturb": cfg.ic.perturb} if cfg.ic.perturb else {})},
+               **_present(perturb=cfg.ic.perturb)},
         "time": {"t_final": cfg.time.t_final, "dt_max": cfg.time.dt_max,
-                 **({"sample_every": cfg.time.sample_every}
-                    if cfg.time.sample_every is not None else {}),
-                 **({"force_dt": cfg.time.force_dt}
-                    if cfg.time.force_dt is not None else {})},
+                 **_present(sample_every=cfg.time.sample_every,
+                            force_dt=cfg.time.force_dt)},
         "diagnostics": {
-            **({"kappa": cfg.diagnostics.kappa}
-               if cfg.diagnostics.kappa is not None else {}),
-            **({"c1_quasi": cfg.diagnostics.c1_quasi}
-               if cfg.diagnostics.c1_quasi is not None else {}),
-            **({"sigma_c": cfg.diagnostics.sigma_c}
-               if cfg.diagnostics.sigma_c is not None else {}),
-            "lp": list(cfg.diagnostics.lp),
-            "window": cfg.diagnostics.window,
+            **_present(kappa=dg.kappa, c1_quasi=dg.c1_quasi,
+                       sigma_c=dg.sigma_c),
+            "lp": list(dg.lp),
+            "window": dg.window,
         },
         "seed": cfg.seed,
     }

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError
 from .grid import Grid, divergence, grad_squared_cells, \
     velocity_dirichlet_energy, velocity_magnitude_squared_cells
-from .regularization import d_base, f_eps
+from .regularization import f_eps
 
 
 @dataclass
@@ -58,14 +58,13 @@ def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostic
     )
 
 
+@dataclass
 class RunningTallies:
     """Per-step accumulators: consumed attractant mass, time-integrated
     Dirichlet energy of c, and the running sup of max n."""
-
-    def __init__(self, consumed_mass=0.0, gradc_l2=0.0, sup_max_n=0.0):
-        self.consumed_mass = consumed_mass
-        self.gradc_l2 = gradc_l2
-        self.sup_max_n = sup_max_n
+    consumed_mass: float = 0.0
+    gradc_l2: float = 0.0
+    sup_max_n: float = 0.0
 
     def observe_state(self, state):
         self.sup_max_n = max(self.sup_max_n, float(np.max(state.n)))

@@ -59,7 +59,8 @@ def rho(p: float, m: float) -> float:
 def psi(p: float, m: float) -> float:
     """One bootstrap round: L^p density bound -> L^psi(p) bound.
 
-    psi(p) = (10 p^2 + (36m - 42) p + (m-1)(18m - 27)) / 9.  Total.
+    psi(p) = (10 p^2 + (36m - 42) p + (m-1)(18m - 27)) / 9.  Total, and
+    elementwise on arrays of p.
     """
     return (10.0 * p * p + (36.0 * m - 42.0) * p
             + (m - 1.0) * (18.0 * m - 27.0)) / 9.0
@@ -72,14 +73,6 @@ def space_time_exponent(p: float, m: float) -> float:
     is the q at which each psi-ladder round is admissible with equality.
     """
     return (5.0 * p + 3.0 * (m - 1.0)) / 3.0
-
-
-def q_of(p: float, m: float) -> float:
-    """Velocity integrability exponent q = 2 (5p + 3m - 3)/3.
-
-    Exactly twice space_time_exponent (bitwise, by construction).
-    """
-    return 2.0 * space_time_exponent(p, m)
 
 
 def pivot(m: float) -> float:
@@ -196,7 +189,7 @@ def delta2(m: float) -> float:
     def feasible(delta: float) -> bool:
         # 1000 points, pivot included, left endpoint excluded
         p = piv - delta * (np.arange(1000) / 1000.0)
-        return bool(np.all(psi_vec(p, m) / p >= gam))
+        return bool(np.all(psi(p, m) / p >= gam))
 
     if feasible(delta_max):
         return delta_max
@@ -208,12 +201,6 @@ def delta2(m: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def psi_vec(p: np.ndarray, m: float) -> np.ndarray:
-    """Vectorized psi for scans."""
-    return (10.0 * p * p + (36.0 * m - 42.0) * p
-            + (m - 1.0) * (18.0 * m - 27.0)) / 9.0
 
 
 # ============================================================

@@ -132,22 +132,16 @@ def grad_squared_cells(grid: Grid, cellfield: np.ndarray) -> np.ndarray:
     energy sum_f g_f^2 vol_f exactly, which is the form the discrete L^2
     identity for c is stated in.
     """
-    out = np.zeros(grid.cells)
-    for a in range(grid.dim):
-        g = full_faces(grid, face_diff(grid, cellfield, a), a)
-        g2 = g * g
-        out += 0.5 * (axslice(g2, a, slice(0, -1)) +
-                      axslice(g2, a, slice(1, None)))
-    return out
+    return velocity_magnitude_squared_cells(
+        grid, [full_faces(grid, face_diff(grid, cellfield, a), a)
+               for a in range(grid.dim)])
 
 
 def velocity_magnitude_squared_cells(grid: Grid, faces) -> np.ndarray:
     """|u|^2 averaged to cells from face components."""
     out = np.zeros(grid.cells)
     for a in range(grid.dim):
-        f2 = faces[a] ** 2
-        out += 0.5 * (axslice(f2, a, slice(0, -1)) +
-                      axslice(f2, a, slice(1, None)))
+        out += face_avg(faces[a] ** 2, a)
     return out
 
 
@@ -169,10 +163,9 @@ def velocity_dirichlet_energy(grid: Grid, faces) -> float:
             d = np.diff(ua, axis=b) / h
             contrib = float(np.sum(d * d))
             if b != a:
-                first = axslice(ua, b, 0)
-                last = axslice(ua, b, -1)
-                contrib += 2.0 * float(np.sum(first * first)) / (h * h)
-                contrib += 2.0 * float(np.sum(last * last)) / (h * h)
+                for end in (0, -1):
+                    wall = axslice(ua, b, end)
+                    contrib += 2.0 * float(np.sum(wall * wall)) / (h * h)
             total += contrib
     # interior faces tile the volume like cells do; weight with cell volume
     return total * grid.cell_volume

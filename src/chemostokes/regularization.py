@@ -54,8 +54,7 @@ def d_eps(s, eps: float, m: float, k_d: float = 1.0):
 
     Satisfies d_base <= d_eps <= d_base + 2 eps and d_eps >= eps.
     """
-    a = np.asarray(s, dtype=float)
-    return _match(s, k_d * np.power(np.maximum(a, 0.0), m - 1.0) + eps)
+    return d_base(s, m, k_d) + eps
 
 
 def smoothstep(r):

@@ -112,14 +112,17 @@ def load_snapshot(run_dir: str, files: dict, dim: int):
 MANIFEST_NAME = "manifest.json"
 
 
-def write_manifest(run_dir: str, manifest: dict):
-    """Atomic-enough manifest update (write to temp, then replace)."""
-    path = os.path.join(run_dir, MANIFEST_NAME)
+def write_json(path: str, obj):
+    """Atomic-enough JSON file update (write to temp, then replace)."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def write_manifest(run_dir: str, manifest: dict):
+    write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
 
 
 def load_manifest(run_dir: str) -> dict:

@@ -30,9 +30,8 @@ it does not.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from .errors import ConfigError, NumericalError
 from .grid import Grid, axslice, divergence, face_avg, face_diff, \
     face_upwind, full_faces, interior
 from .regularization import chi_eps, d_eps, f_eps
-from .snapshots import load_manifest, load_snapshot, write_manifest, \
-    write_snapshot
+from .snapshots import load_manifest, load_snapshot, write_json, \
+    write_manifest, write_snapshot
 from .spectral import SpectralCache, face_laplacian, neumann_laplacian, \
     solve_cell_helmholtz, solve_face_helmholtz, solve_neumann_poisson
 
@@ -61,10 +60,6 @@ class FieldState:
     c: np.ndarray
     u: list
     p: np.ndarray
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.n.copy(), self.c.copy(),
-                          [ua.copy() for ua in self.u], self.p.copy())
 
 
 # ============================================================
@@ -103,9 +98,8 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
         shift = 0.25 * grid.extent[0]
         out = np.zeros(grid.cells)
         for sgn in (-1.0, 1.0):
-            r2 = (xs[0] - (center[0] + sgn * shift)) ** 2
-            for x, c in zip(xs[1:], center[1:]):
-                r2 = r2 + (x - c) ** 2
+            at = [center[0] + sgn * shift, *center[1:]]
+            r2 = sum((x - c) ** 2 for x, c in zip(xs, at))
             out += amp * np.exp(-r2 / (2.0 * width * width))
         mean = spec.get("mean")
         if mean is not None:
@@ -218,8 +212,7 @@ def step_u(grid: Grid, cache: SpectralCache, state: FieldState, model,
     for a in range(grid.dim):
         rhs = interior(w[a], a)
         ustar = solve_face_helmholtz(cache, rhs, a, dt)
-        new_full = np.zeros(grid.face_shape(a))
-        axslice(new_full, a, slice(1, -1))[...] = ustar
+        new_full = full_faces(grid, ustar, a)
         res = ustar - dt * face_laplacian(grid, new_full, a) - rhs
         visc_rel = max(visc_rel, float(np.max(np.abs(res)))
                        / (1.0 + float(np.max(np.abs(rhs)))))
@@ -263,7 +256,6 @@ def step_c(grid: Grid, cache: SpectralCache, state: FieldState, model,
             f"attractant diffusion solve residual {helm_rel:.3e} > "
             f"{SOLVE_TOL} at t = {state.t}")
 
-    min_preclip = float(np.min(c_new))
     c_new = np.maximum(c_new, 0.0)
     max_after = float(np.max(c_new))
     if max_after > max_before + 1e-12 * (1.0 + max_before):
@@ -271,7 +263,7 @@ def step_c(grid: Grid, cache: SpectralCache, state: FieldState, model,
             f"attractant max rose from {max_before} to {max_after} in one "
             f"step at t = {state.t}; monotone sub-steps must be broken")
     state.c = c_new
-    return {"c_helmholtz_rel": helm_rel, "c_min_preclip": min_preclip}
+    return {"c_helmholtz_rel": helm_rel}
 
 
 def step_n(grid: Grid, state: FieldState, model, dt: float) -> dict:
@@ -417,35 +409,6 @@ def sample_times(t_final: float, sample_every: float | None):
     return times
 
 
-def _diag_to_manifest(diag: ResolvedDiagnostics) -> dict:
-    return {"kappa": diag.kappa, "c1_quasi": diag.c1_quasi,
-            "sigma_c": diag.sigma_c, "lp": list(diag.lp),
-            "window": diag.window, "mean_n0": diag.mean_n0,
-            "mass_c0": diag.mass_c0}
-
-
-def _diag_from_manifest(d: dict) -> ResolvedDiagnostics:
-    return ResolvedDiagnostics(
-        kappa=d["kappa"], c1_quasi=d["c1_quasi"], sigma_c=d["sigma_c"],
-        lp=tuple(d["lp"]), window=d["window"], mean_n0=d["mean_n0"],
-        mass_c0=d["mass_c0"])
-
-
-class _CsvSink:
-    """Incremental diagnostics.csv writer (rows appear as samples land)."""
-
-    def __init__(self, path, lp, existing_records=None):
-        self.path, self.lp = path, lp
-        if path is None:
-            return
-        # header, plus replayed rows on resume (truncates stale tail rows)
-        write_csv(existing_records or [], lp, path)
-
-    def append(self, record):
-        if self.path is not None:
-            append_csv(self.path, record, self.lp)
-
-
 def run(cfg: SimConfig, resume: bool = False) -> RunResult:
     """Execute a configured run; optionally resume from its manifest.
 
@@ -458,8 +421,6 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
     cache = SpectralCache(grid)
     model = cfg.model
     run_dir = cfg.output_dir
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
     schedule = sample_times(cfg.time.t_final, cfg.time.sample_every)
 
     if resume:
@@ -476,11 +437,11 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         state = FieldState(
             t=t0, n=fields["n"], c=fields["c"],
             u=[fields[f"u{a}"] for a in range(grid.dim)], p=fields["p"])
-        tallies = RunningTallies(
-            consumed_mass=float.fromhex(last["tallies"]["consumed_mass"]),
-            gradc_l2=float.fromhex(last["tallies"]["gradc_l2"]),
-            sup_max_n=float.fromhex(last["tallies"]["sup_max_n"]))
-        diag = _diag_from_manifest(manifest["resolved_diagnostics"])
+        tallies = RunningTallies(**{
+            name: float.fromhex(h) for name, h in last["tallies"].items()})
+        resolved = manifest["resolved_diagnostics"]
+        diag = ResolvedDiagnostics(**{**resolved,
+                                      "lp": tuple(resolved["lp"])})
         steps_taken = int(last["step_count"])
         all_records = read_csv(os.path.join(run_dir, "diagnostics.csv"))
         records = all_records[:len(samples)]
@@ -496,25 +457,26 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         records = []
         manifest = {"format": "chemostokes-run", "version": 1,
                     "config": config_to_dict(cfg),
-                    "resolved_diagnostics": _diag_to_manifest(diag),
+                    "resolved_diagnostics": asdict(diag),
                     "status": "running", "samples": []}
 
-    csv_path = os.path.join(run_dir, "diagnostics.csv") if run_dir else None
-    sink = _CsvSink(csv_path, diag.lp, existing_records=records)
+    if run_dir:
+        os.makedirs(run_dir, exist_ok=True)
+        csv_path = os.path.join(run_dir, "diagnostics.csv")
+        # header, plus replayed rows on resume (truncates stale tail rows)
+        write_csv(records, diag.lp, csv_path)
 
     def emit(index):
         rec = evaluate(grid, model, diag, state, tallies)
         records.append(rec)
-        sink.append(rec)
         if run_dir:
+            append_csv(csv_path, rec, diag.lp)
             files = write_snapshot(run_dir, index, state, grid.dim)
             manifest["samples"].append({
                 "index": index, "t": state.t, "step_count": steps_taken,
                 "files": files,
-                "tallies": {
-                    "consumed_mass": float(tallies.consumed_mass).hex(),
-                    "gradc_l2": float(tallies.gradc_l2).hex(),
-                    "sup_max_n": float(tallies.sup_max_n).hex()}})
+                "tallies": {name: float(value).hex()
+                            for name, value in asdict(tallies).items()}})
             write_manifest(run_dir, manifest)
 
     max_residuals: dict = {}
@@ -538,9 +500,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                 tallies.update(grid, model, state, dt)
                 steps_taken += 1
                 for key, val in residuals.items():
-                    if key != "c_min_preclip":
-                        max_residuals[key] = max(
-                            max_residuals.get(key, 0.0), val)
+                    max_residuals[key] = max(max_residuals.get(key, 0.0), val)
             emit(idx)
     except NumericalError as exc:
         if run_dir:
@@ -551,9 +511,8 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
 
     checks = standard_checks(records, grid, diag)
     if run_dir:
-        with open(os.path.join(run_dir, "checks.json"), "w") as fh:
-            json.dump([c.to_dict() for c in checks], fh, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(run_dir, "checks.json"),
+                   [c.to_dict() for c in checks])
         manifest["status"] = "complete"
         write_manifest(run_dir, manifest)
     return RunResult(config=cfg, grid=grid, records=records, checks=checks,

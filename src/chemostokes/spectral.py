@@ -38,30 +38,27 @@ class SpectralCache:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
         dim = grid.dim
 
+        def lam(b, k):
+            """4 sin^2(pi k / (2 N)) / h^2 along axis b."""
+            n, h = grid.cells[b], grid.h[b]
+            return 4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h)
+
         # cell-centered Neumann: modes k = 0..N-1 over N cells
-        cell = []
-        for a in range(dim):
-            n, h = grid.cells[a], grid.h[a]
-            k = np.arange(n)
-            cell.append(4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h))
-        self.cell_lam = _broadcast_sum(cell)
+        self.cell_lam = _broadcast_sum(
+            [lam(a, np.arange(grid.cells[a])) for a in range(dim)])
         self.poisson_lam = self.cell_lam.copy()
         self.poisson_lam[(0,) * dim] = 1.0   # avoid 0/0; mode is zeroed
 
         # face operators: DST-I along the own axis (N-1 interior faces,
         # modes k = 1..N-1), DST-II along the others (N samples, modes
         # k = 1..N); same eigenvalue formula with denominator 2N
-        self.face_lam = []
-        for a in range(dim):
-            per_axis = []
-            for b in range(dim):
-                n, h = grid.cells[b], grid.h[b]
-                k = np.arange(1, n) if b == a else np.arange(1, n + 1)
-                per_axis.append(4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h))
-            self.face_lam.append(_broadcast_sum(per_axis))
+        self.face_lam = [
+            _broadcast_sum([lam(b, np.arange(1, grid.cells[b] if b == a
+                                             else grid.cells[b] + 1))
+                            for b in range(dim)])
+            for a in range(dim)]
 
 
 def _broadcast_sum(per_axis):
@@ -132,17 +129,10 @@ def face_laplacian(grid: Grid, u_full: np.ndarray, axis: int) -> np.ndarray:
     ui = axslice(u_full, axis, slice(1, -1))
     out = np.zeros_like(ui)
     for b in range(grid.dim):
-        h2 = grid.h[b] * grid.h[b]
-        if b == axis:
-            out += (axslice(u_full, axis, slice(2, None))
-                    - 2.0 * ui
-                    + axslice(u_full, axis, slice(0, -2))) / h2
-        else:
-            n = ui.shape[b]
-            padded_lo = axslice(ui, b, slice(0, 1))
-            padded_hi = axslice(ui, b, slice(n - 1, n))
-            ghosted = np.concatenate([-padded_lo, ui, -padded_hi], axis=b)
-            out += (axslice(ghosted, b, slice(2, None))
-                    - 2.0 * ui
-                    + axslice(ghosted, b, slice(0, -2))) / h2
+        padded = u_full if b == axis else np.concatenate(
+            [-axslice(ui, b, slice(0, 1)), ui,
+             -axslice(ui, b, slice(-1, None))], axis=b)
+        out += (axslice(padded, b, slice(2, None))
+                - 2.0 * ui
+                + axslice(padded, b, slice(0, -2))) / (grid.h[b] * grid.h[b])
     return out

@@ -27,15 +27,17 @@ import multiprocessing as mp
 import os
 import threading
 from collections import deque
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import exponents as expo
-from .config import parse_config
+from .config import load_json, parse_config
 from .errors import ChemoStokesError, ConfigError
-from .snapshots import load_manifest, read_field
+from .grid import Grid
+from .snapshots import load_manifest, read_field, write_json
 from .solver import run
 
 _AXES = ("m", "eps", "grid")
@@ -49,21 +51,16 @@ class SweepSpec:
     parallel_runs: int = 1
 
 
+def _members_at_once(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(
+            f"{where}: must be a positive integer, got {value!r}")
+    return value
+
+
 def parse_sweep(source) -> SweepSpec:
     """Parse and validate a sweep spec from a dict, JSON string, or path."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source) as fh:
-                text = fh.read()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"sweep spec is not valid JSON: {exc.msg} "
-                f"(line {exc.lineno}, column {exc.colno})") from None
+    raw = load_json(source, "sweep spec")
 
     axis = raw.get("axis")
     if axis not in _AXES:
@@ -89,17 +86,14 @@ def parse_sweep(source) -> SweepSpec:
     if isinstance(base, str):
         if not os.path.exists(base):
             raise ConfigError(f"sweep.base_config: no such file {base!r}")
-        with open(base) as fh:
-            base = json.load(fh)
+        base = load_json(base, "sweep.base_config")
     if not isinstance(base, dict):
         raise ConfigError(
             "sweep.base_config: must be a config object or a path to one")
     parse_config(dict(base))   # validate the base once, up front
 
-    workers = raw.get("parallel_runs", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(
-            f"sweep.parallel_runs: must be a positive integer, got {workers!r}")
+    workers = _members_at_once(raw.get("parallel_runs", 1),
+                               "sweep.parallel_runs")
     return SweepSpec(axis=axis, values=tuple(vals), base_config=base,
                      parallel_runs=workers)
 
@@ -121,6 +115,14 @@ def _value_tag(axis: str, value: float) -> str:
     return f"run_{axis}_{value:g}".replace(".", "p")
 
 
+def _summary(run_dir: str, error: str = "") -> dict:
+    """A member's summary row; a member with an error has failed."""
+    return {"run_dir": run_dir, "status": "failed" if error else "complete",
+            "error": error, "steps": 0, "mass_drift_rel": "",
+            "decay_gap_n": "", "decay_gap_c": "", "decay_gap_u": "",
+            "checks_passed": ""}
+
+
 def run_one(task):
     """Execute one sweep member, in the calling process or a spawn worker.
     Must stay a module-level function: the spawn start method pickles it
@@ -129,15 +131,11 @@ def run_one(task):
     cfg_dict = dict(cfg_dict)
     cfg_dict.setdefault("output", {})["dir"] = run_dir
     cfg_dict.setdefault("seed", seed)
-    summary = {"run_dir": run_dir, "status": "complete", "error": "",
-               "steps": 0, "mass_drift_rel": "", "decay_gap_n": "",
-               "decay_gap_c": "", "decay_gap_u": "", "checks_passed": ""}
     try:
         result = run(parse_config(cfg_dict))
     except ChemoStokesError as exc:
-        summary["status"] = "failed"
-        summary["error"] = str(exc)
-        return summary
+        return _summary(run_dir, str(exc))
+    summary = _summary(run_dir)
     first, last = result.records[0], result.records[-1]
     summary["steps"] = result.steps_taken
     summary["mass_drift_rel"] = abs(last.mass - first.mass) / abs(first.mass)
@@ -175,9 +173,7 @@ def write_exponent_certificate(run_dir: str, m: float, cap: float = 1e6):
         cert["psi_ladder"] = _ladder_json(expo.run_psi_ladder(m, cap))
     except ConfigError as exc:
         cert["psi_ladder"] = {"undefined": str(exc)}
-    with open(os.path.join(run_dir, "exponents_certificate.json"), "w") as fh:
-        json.dump(cert, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(run_dir, "exponents_certificate.json"), cert)
 
 
 def _final_density(run_dir: str):
@@ -194,13 +190,15 @@ def _run_members(tasks, nworkers: int) -> list:
     """Summaries of all tasks, in task order, with nworkers members at
     once: the calling process and nworkers - 1 spawn workers.
 
-    One pending queue feeds both.  The pool is fed from its completion
-    callbacks, which run on the pool's result thread, so a spawn worker
-    gets its next member even while the caller is busy running one.
+    One pending queue feeds both.  The pool is fed from its done
+    callbacks, which run on the executor's manager thread, so a spawn
+    worker gets its next member even while the caller is busy running
+    one.  A worker that dies breaks the pool: its members are reported
+    failed, and the caller runs every member the pool did not take.
     """
     summaries = [None] * len(tasks)
     pending = deque(range(len(tasks)))
-    queued = []                     # (task index, AsyncResult)
+    queued = []                     # (task index, Future)
     lock = threading.Lock()
 
     def take():
@@ -211,25 +209,39 @@ def _run_members(tasks, nworkers: int) -> list:
         # taking a member and queueing it happen under one lock: once the
         # caller finds the queue empty, every pool member is in `queued`
         with lock:
-            if pending:
-                i = pending.popleft()
-                queued.append((i, pool.apply_async(
-                    run_one, (tasks[i],), callback=feed,
-                    error_callback=feed)))
+            if not pending:
+                return
+            i = pending[0]
+            try:
+                future = pool.submit(run_one, tasks[i])
+            except BrokenProcessPool:
+                return              # the member stays for the caller
+            pending.popleft()
+            queued.append((i, future))
+        future.add_done_callback(feed)
 
-    pool = mp.get_context("spawn").Pool(nworkers - 1) if nworkers > 1 \
-        else None
-    with pool or nullcontext():
-        try:
-            for _ in range(nworkers - 1):
-                feed()
-            while (i := take()) is not None:
-                summaries[i] = run_one(tasks[i])
-        finally:
-            with lock:              # a failing caller stops the feeding
-                pending.clear()
-        for i, result in queued:
-            summaries[i] = result.get()
+    pool = ProcessPoolExecutor(nworkers - 1,
+                               mp_context=mp.get_context("spawn")) \
+        if nworkers > 1 else None
+    try:
+        for _ in range(nworkers - 1):
+            feed()
+        while (i := take()) is not None:
+            summaries[i] = run_one(tasks[i])
+        for i, future in queued:
+            try:
+                summaries[i] = future.result()
+            except BrokenProcessPool as exc:
+                summaries[i] = _summary(
+                    tasks[i][1], f"the spawn worker running this member "
+                                 f"died: {exc}")
+    finally:
+        with lock:                  # a failing caller stops the feeding
+            pending.clear()
+        if pool is not None:
+            # normally every member is done here: the idle workers exit
+            # without the caller waiting for their interpreter teardown
+            pool.shutdown(wait=False, cancel_futures=True)
     return summaries
 
 
@@ -240,6 +252,8 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
     workers is the number of members run at once, the calling process
     included; None takes the spec's parallel_runs.
     """
+    nworkers = spec.parallel_runs if workers is None else \
+        _members_at_once(workers, "workers (--threads)")
     os.makedirs(out_root, exist_ok=True)
     tasks = []
     for value in spec.values:
@@ -247,8 +261,7 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
         tasks.append((apply_override(spec.base_config, spec.axis, value),
                       run_dir, seed))
 
-    nworkers = workers if workers is not None else spec.parallel_runs
-    summaries = _run_members(tasks, max(1, min(nworkers, len(tasks))))
+    summaries = _run_members(tasks, min(nworkers, len(tasks)))
 
     for value, summary in zip(spec.values, summaries):
         summary["axis"] = spec.axis
@@ -257,17 +270,15 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
             write_exponent_certificate(summary["run_dir"], value)
 
     if spec.axis == "eps":
+        # an eps sweep keeps the base grid in every member
+        base = parse_config(spec.base_config)
+        cell_vol = Grid(base.grid_cells, base.grid_extent).cell_volume
         prev = None
-        cell_vol = None
         for summary in summaries:
             summary["l1_distance_to_prev"] = ""
             if summary["status"] != "complete":
                 prev = None
                 continue
-            cfg = parse_config(apply_override(
-                spec.base_config, "eps", summary["value"]))
-            cell_vol = float(np.prod([e / c for e, c in
-                                      zip(cfg.grid_extent, cfg.grid_cells)]))
             cur = _final_density(summary["run_dir"])
             if prev is not None and cur is not None:
                 summary["l1_distance_to_prev"] = float(

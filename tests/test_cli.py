@@ -77,6 +77,10 @@ def test_parse_config_defaults():
     (lambda d: d["model"].update(k_D=-1.0), "model.k_D"),
     (lambda d: d["grid"].update(cells=[12]), "grid.cells"),
     (lambda d: d["grid"].update(cells=[1, 12]), "grid.cells"),
+    (lambda d: d["grid"].update(cells="88"), "grid.cells"),
+    (lambda d: d["grid"].update(cells=[8.7, 8]), "grid.cells"),
+    (lambda d: d["grid"].update(cells=["x", 8]), "grid.cells"),
+    (lambda d: d["grid"].update(cells=[True, 8]), "grid.cells"),
     (lambda d: d["grid"].update(extent=[1.0]), "grid.extent"),
     (lambda d: d["grid"].update(extent=[1.0, -1.0]), "grid.extent"),
     (lambda d: d["phi"].update(gradient=[1.0]), "phi.gradient"),
@@ -105,6 +109,8 @@ def test_parse_config_rejections(mutate, fragment):
 def test_parse_config_bad_sources(tmp_path):
     with pytest.raises(ConfigError, match="no such config file"):
         parse_config(str(tmp_path / "absent.json"))
+    with pytest.raises(ConfigError, match="no such config file"):
+        parse_config(tmp_path / "absent.json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config("{broken")
     arr = tmp_path / "arr.json"
@@ -259,6 +265,65 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "numerical failure:" in err
+
+
+def test_cli_sweep_bad_sources(tmp_path, capsys):
+    """A missing spec, a spec that is not an object and a base_config file
+    holding malformed JSON all exit 1 with an error line, not a
+    traceback."""
+    assert main(["--output-dir", str(tmp_path / "a"), "sweep", "--spec",
+                 str(tmp_path / "absent.json")]) == 1
+    assert "error: no such sweep spec file" in capsys.readouterr().err
+    assert main(["--output-dir", str(tmp_path / "a"), "sweep", "--spec",
+                 write_json(tmp_path, "list.json", [1, 2])]) == 1
+    assert "error: sweep spec: top level" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"grid": ')
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1], "base_config": str(broken)})
+    assert main(["--output-dir", str(tmp_path / "b"), "sweep", "--spec",
+                 spec_path]) == 1
+    assert "error: sweep.base_config is not valid JSON" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_sweep_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY)})
+    out = tmp_path / "sw"
+    assert main(["--output-dir", str(out), "--threads", threads,
+                 "sweep", "--spec", spec_path]) == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dead_spawn_worker_fails_its_member(tmp_path):
+    """A driver script without a __main__ guard: every spawn worker dies
+    while importing it.  The sweep must still end, run the other members
+    in the calling process and report the lost member as failed."""
+    spec = {"axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY)}
+    script = tmp_path / "driver.py"
+    script.write_text(
+        "import json\n"
+        "from chemostokes.sweep import parse_sweep, run_sweep\n"
+        f"spec = parse_sweep({json.dumps(spec)!r})\n"
+        f"summaries, _ = run_sweep(spec, {str(tmp_path / 'sw')!r}, "
+        "workers=2)\n"
+        "print(json.dumps([[s['status'], s['error']] "
+        "for s in summaries]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.splitlines()[-1])
+    assert len(rows) == 2
+    assert ["complete", ""] in rows
+    failed = [error for status, error in rows if status == "failed"]
+    assert len(failed) == 1 and "spawn worker" in failed[0] \
+        and "died" in failed[0]
 
 
 def test_cli_exponents_table(capsys):

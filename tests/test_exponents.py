@@ -73,16 +73,8 @@ def test_psi_hand_values():
     assert ex.psi(1.125, 1.125) == pytest.approx(1.125, rel=1e-14)
 
 
-def test_q_of_is_twice_space_time_exponent():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        p, m = rng.uniform(1.0, 50.0), rng.uniform(1.0, 3.0)
-        assert ex.q_of(p, m) == 2.0 * ex.space_time_exponent(p, m)
-    assert ex.q_of(2.25, 1.25) == 8.0
-    assert ex.space_time_exponent(2.25, 1.25) == 4.0
-
-
 def test_psi_identity_with_space_time_exponent():
+    assert ex.space_time_exponent(2.25, 1.25) == 4.0
     # psi(p) = (2(q-1)/3) p + (2q-1)(m-1) exactly when q = (5p+3m-3)/3
     rng = np.random.default_rng(5)
     for _ in range(1000):
@@ -150,7 +142,7 @@ def test_delta2_operational_contract():
 
         def scan_ok(delta):
             p = piv - delta * (np.arange(1000) / 1000.0)
-            return bool(np.all(ex.psi_vec(p, m) / p >= gam))
+            return bool(np.all(ex.psi(p, m) / p >= gam))
 
         assert scan_ok(d2)
         if d2 < piv - 1.0 - 1e-9:
