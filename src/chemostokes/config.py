@@ -8,6 +8,7 @@ typed dataclasses.  Error messages name the offending JSON path
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -77,8 +78,10 @@ def _req(obj: dict, key: str, where: str):
 
 
 def _num(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: must be a number, got {value!r}")
+    """A finite number; JSON's NaN and Infinity literals are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -189,15 +192,18 @@ def parse_config(source) -> SimConfig:
             _check(pv >= 1.0, f"diagnostics.lp: exponents must be >= 1, got {pv}")
             lp_resolved.append(pv)
     window = _num(dg.get("window", 1.0), "diagnostics.window")
-    _check(0.0 < window < float("inf"),
-           f"diagnostics.window: must be finite and > 0, got {window}")
-    diag = DiagnosticsParams(
-        kappa=_opt_num(dg, "kappa", "diagnostics"),
-        c1_quasi=_opt_num(dg, "c1_quasi", "diagnostics"),
-        sigma_c=_opt_num(dg, "sigma_c", "diagnostics"),
-        lp=tuple(lp_resolved),
-        window=window,
-    )
+    _check(window > 0.0, f"diagnostics.window: must be > 0, got {window}")
+    kappa = _opt_num(dg, "kappa", "diagnostics")
+    _check(kappa is None or kappa >= 0.0,
+           f"diagnostics.kappa: must be >= 0, got {kappa}")
+    c1_quasi = _opt_num(dg, "c1_quasi", "diagnostics")
+    _check(c1_quasi is None or c1_quasi >= 0.0,
+           f"diagnostics.c1_quasi: must be >= 0, got {c1_quasi}")
+    sigma_c = _opt_num(dg, "sigma_c", "diagnostics")
+    _check(sigma_c is None or sigma_c > 0.0,
+           f"diagnostics.sigma_c: must be > 0, got {sigma_c}")
+    diag = DiagnosticsParams(kappa=kappa, c1_quasi=c1_quasi, sigma_c=sigma_c,
+                             lp=tuple(lp_resolved), window=window)
 
     output = raw.get("output", {})
     out_dir = output.get("dir")

@@ -15,21 +15,27 @@ size dt is a Lie splitting u -> c -> n:
       negative transform round-off.  Every sub-step is monotone, so
       0 <= c_new and max c is non-increasing by construction.
 
-  n:  single explicit flux-form update with three face fluxes per axis:
+  n:  explicit flux-form update with three face fluxes per axis:
       upwind advection u * n_up, upwind chemotactic drift
       n_up chi_eps(n_up) * grad_h c, and degenerate diffusion
       -avg(d_eps(n)) * grad_h n.  Boundary faces carry zero flux, so the
       cell sum telescopes and mass is conserved to round-off.
 
-dt is 0.9 times the tightest of the advective, drift, and diffusive
-stability limits (capped at dt_max); each n-update additionally verifies
-the per-cell outflow fraction stays below 1, which is what guarantees
-positivity, and raises NumericalError naming the first offending cell if
-it does not.
+dt is 0.9 times the tighter of the advective and drift stability limits,
+capped at dt_max.  The explicit diffusive limit, which scales with h^2,
+does not set dt: the n-update runs k = ceil(dt * r_diff / 0.9) times in
+equal substeps of dt/k, with r_diff the diffusive rate of the density at
+the start of the n-phase, so the u- and c-steps run once per step.  When
+dt * r_diff <= 0.9, k = 1 and the single update takes exactly dt.  A
+forced dt (time.force_dt) gets one n-update and no stability control.
+Each n-update verifies the per-cell outflow fraction stays below 1, which
+is what guarantees positivity, and raises NumericalError naming the first
+offending cell if it does not.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -49,6 +55,7 @@ from .spectral import SpectralCache, face_laplacian, neumann_laplacian, \
 
 DIV_TOL = 1e-10      # projection residual contract
 SOLVE_TOL = 1e-10    # implicit-solve residual contract
+CFL = 0.9            # share of each explicit stability limit one update uses
 
 
 @dataclass
@@ -338,41 +345,55 @@ def _audit_outflow(grid: Grid, state, adv_speeds, drift_speeds, dfaces, dt):
 # full step and dt selection
 # ============================================================
 
+def _diffusive_rate(grid: Grid, n: np.ndarray, model) -> float:
+    """Summed per-axis rate of explicit degenerate diffusion of n."""
+    max_d = model.k_d * float(np.max(n)) ** (model.m - 1.0) + model.eps
+    return sum(2.0 * max_d / (grid.h[a] * grid.h[a])
+               for a in range(grid.dim))
+
+
 def stability_rates(grid: Grid, state: FieldState, model):
     """Summed per-axis rates of the three explicit mechanisms."""
     r_adv = sum(float(np.max(np.abs(state.u[a]))) / grid.h[a]
                 for a in range(grid.dim))
     r_drift = sum(float(np.max(np.abs(face_diff(grid, state.c, a)))) / grid.h[a]
                   for a in range(grid.dim))
-    max_d = model.k_d * float(np.max(state.n)) ** (model.m - 1.0) + model.eps
-    r_diff = sum(2.0 * max_d / (grid.h[a] * grid.h[a])
-                 for a in range(grid.dim))
-    return r_adv, r_drift, r_diff
+    return r_adv, r_drift, _diffusive_rate(grid, state.n, model)
 
 
 def choose_dt(grid: Grid, state: FieldState, model, dt_max: float,
               force_dt: float | None = None) -> float:
-    """0.9 times the tightest stability limit, capped at dt_max."""
+    """0.9 times the tighter of the advective and drift limits, capped at
+    dt_max; step() substeps the density update under the diffusive one."""
     if force_dt is not None:
         return force_dt
-    r_adv, r_drift, r_diff = stability_rates(grid, state, model)
+    r_adv, r_drift, _ = stability_rates(grid, state, model)
     dt = dt_max
-    for r in (r_adv, r_drift, r_diff):
+    for r in (r_adv, r_drift):
         if r > 0.0:
-            dt = min(dt, 0.9 / r)
+            dt = min(dt, CFL / r)
     return dt
 
 
 def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
-         dt: float) -> dict:
+         dt: float, forced: bool = False) -> dict:
     """Advance the coupled state by dt (Lie order u -> c -> n); returns
-    the sub-steps' residuals and guard margins."""
+    the sub-steps' residuals and guard margins.  The n-update runs in
+    the fewest equal substeps that keep each within the diffusive limit,
+    or once when the dt is forced."""
     if dt <= 0.0:
         raise NumericalError(f"nonpositive dt = {dt} at t = {state.t}")
     residuals = {}
     residuals.update(step_u(grid, cache, state, model, dt))
     residuals.update(step_c(grid, cache, state, model, dt))
-    residuals.update(step_n(grid, state, model, dt))
+    k = 1
+    if not forced:
+        ratio = dt * _diffusive_rate(grid, state.n, model) / CFL
+        if 1.0 < ratio < math.inf:      # NaN and inf: one update, as forced
+            k = math.ceil(ratio)
+    residuals["theta_outflow_bound"] = max(
+        step_n(grid, state, model, dt / k)["theta_outflow_bound"]
+        for _ in range(k))
     state.t += dt
     return residuals
 
@@ -494,7 +515,8 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                 closing = state.t + dt >= target - 1e-12 * max(1.0, target)
                 if closing:
                     dt = target - state.t
-                residuals = step(grid, cache, state, model, dt)
+                residuals = step(grid, cache, state, model, dt,
+                                 forced=cfg.time.force_dt is not None)
                 if closing:
                     state.t = target
                 tallies.update(grid, model, state, dt)

@@ -70,8 +70,10 @@ def parse_sweep(source) -> SweepSpec:
         raise ConfigError("sweep.values: must be a nonempty list")
     vals = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"sweep.values: entries must be numbers, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not np.isfinite(v):
+            raise ConfigError(
+                f"sweep.values: entries must be finite numbers, got {v!r}")
         vals.append(float(v))
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):

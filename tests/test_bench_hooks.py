@@ -1,15 +1,19 @@
-"""The names the benchmark's tracer patches still exist in the package.
+"""The benchmark's tracer still fits the package it patches.
 
 perfbench/tracer.py wraps each function where its caller looks the name
-up (``solver.full_faces``, ``spectral.dctn``, ...).  A rename or deletion
-in the package would only surface when a traced benchmark run installs
-the tracer; this test surfaces it in the test suite instead.  The tracer
-is loaded by path (it imports only the standard library) and is never
-installed.
+up (``solver.full_faces``, ``spectral.dctn``, ...), and two of its hooks
+read what ``stability_rates`` returns and which argument of ``choose_dt``
+is dt_max.  A rename, deletion or signature change in the package would
+only surface when a traced benchmark run installs the tracer; these tests
+surface it in the test suite instead.  The tracer is loaded by path (it
+imports only the standard library).
 """
 
 import importlib.util
 from pathlib import Path
+
+from chemostokes.config import parse_config
+from chemostokes.solver import run
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +37,29 @@ def test_every_patched_name_resolves():
     if not callable(getattr(tracer._resolve("sweep"), "run_one", None)):
         missing.append("chemostokes.sweep.run_one")
     assert not missing, missing
+
+
+def test_dt_limit_hook_sees_dt_max_bind():
+    tracer_module = _load_tracer()
+    # 12^2 with dt_max = 1e-4: every limit lies far above dt_max
+    cfg = parse_config({
+        "grid": {"cells": [12, 12], "extent": [1.0, 1.0]},
+        "model": {"m": 1.2, "k_D": 1.0, "eps": 0.2},
+        "phi": {"gradient": [0.0, -1.0]},
+        "time": {"t_final": 1e-3, "dt_max": 1e-4},
+        "ic": {"n0": {"preset": "gaussian", "amplitude": 1.0, "width": 0.2,
+                      "floor": 0.2},
+               "c0": {"preset": "constant", "value": 1.0},
+               "u0": {"preset": "vortex", "amplitude": 0.1}}})
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        result = run(cfg)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    assert calls["solver.step"] == result.steps_taken == 10
+    assert dict(tracer.limits) == {"dt_max": calls["solver.step"]}
+    rates = tracer._last_rates
+    assert isinstance(rates, tuple) and len(rates) == 3
+    assert all(type(r) is float for r in rates)

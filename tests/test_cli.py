@@ -98,6 +98,33 @@ def test_parse_config_defaults():
      "diagnostics.window"),
     (lambda d: d.update(diagnostics={"window": float("nan")}),
      "diagnostics.window"),
+    # NaN and Infinity (JSON literals Python's json accepts) are rejected
+    *[pytest.param(mutate, fragment, id=f"{name}-{fragment}")
+      for name, mutate, fragment in [
+          ("nan", lambda d: d["phi"].update(gradient=[0.0, float("nan")]),
+           "phi.gradient"),
+          ("inf", lambda d: d["time"].update(dt_max=float("inf")),
+           "time.dt_max"),
+          ("inf", lambda d: d["time"].update(t_final=float("inf")),
+           "time.t_final"),
+          ("inf", lambda d: d["grid"].update(extent=[float("inf"), 1.0]),
+           "grid.extent"),
+          ("-inf", lambda d: d["grid"].update(extent=[-float("inf"), 1.0]),
+           "grid.extent"),
+          ("inf", lambda d: d["model"].update(m=float("inf")), "model.m"),
+          ("nan", lambda d: d["ic"].update(perturb={"amplitude": float("nan")}),
+           "ic.perturb.amplitude"),
+          ("negative", lambda d: d.update(diagnostics={"kappa": -1.0}),
+           "diagnostics.kappa"),
+          ("nan", lambda d: d.update(diagnostics={"kappa": float("nan")}),
+           "diagnostics.kappa"),
+          ("negative", lambda d: d.update(diagnostics={"c1_quasi": -1.0}),
+           "diagnostics.c1_quasi"),
+          ("negative", lambda d: d.update(diagnostics={"sigma_c": -1.0}),
+           "diagnostics.sigma_c"),
+          ("zero", lambda d: d.update(diagnostics={"sigma_c": 0.0}),
+           "diagnostics.sigma_c"),
+      ]],
 ])
 def test_parse_config_rejections(mutate, fragment):
     raw = json.loads(json.dumps(TINY))
@@ -152,6 +179,10 @@ def test_parse_sweep_and_overrides():
     ({"axis": "grid", "values": [12.5, 16]}, "integer"),
     ({"base_config": "/nonexistent.json"}, "no such file"),
     ({"parallel_runs": 0}, "parallel_runs"),
+    pytest.param({"values": [float("nan")]}, "finite numbers",
+                 id="nan-finite numbers"),
+    pytest.param({"axis": "grid", "values": [float("inf")]}, "finite numbers",
+                 id="inf-finite numbers"),
 ])
 def test_parse_sweep_rejections(patch, fragment):
     raw = {"axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY),
@@ -249,6 +280,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--output-dir", str(tmp_path / "zero"), "simulate",
                  "--config", write_json(tmp_path, "zero.json", zero)]) == 1
     assert "diagnostics.window" in capsys.readouterr().err
+    # a NaN literal in the config file -> 1 at parse time, not a NaN run
+    nan = json.loads(json.dumps(TINY))
+    nan["phi"]["gradient"] = [0.0, float("nan")]
+    nan_path = write_json(tmp_path, "nan.json", nan)
+    with open(nan_path) as fh:
+        assert "NaN" in fh.read()
+    assert main(["--output-dir", str(tmp_path / "nan"), "simulate",
+                 "--config", nan_path]) == 1
+    assert "phi.gradient" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "nan")
     # resume without a manifest -> 1
     cfg_path = write_json(tmp_path, "cfg.json", TINY)
     assert main(["--output-dir", str(tmp_path / "fresh"),

@@ -8,11 +8,13 @@ live in the acceptance module at production resolution.
 
 import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from chemostokes import solver
 from chemostokes.config import SimConfig, parse_config
 from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.grid import Grid, divergence, grad_squared_cells, interior
@@ -20,7 +22,7 @@ from chemostokes.regularization import f_eps
 from chemostokes.snapshots import (load_manifest, read_field, write_field,
                                    write_manifest)
 from chemostokes.solver import (FieldState, choose_dt, init_state, run,
-                                sample_times, step, step_c)
+                                sample_times, stability_rates, step, step_c)
 from chemostokes.spectral import SpectralCache
 
 
@@ -201,6 +203,13 @@ def test_choose_dt_contract():
     assert 0.0 < auto <= 1e-3
     tiny = choose_dt(grid, state, cfg.model, 1e-9, None)
     assert tiny == 1e-9
+    # u = 0 and constant c: only the diffusive rate is nonzero, and it
+    # does not limit dt (step() substeps the density update instead)
+    still = make_cfg(**{"ic.u0": {"preset": "zero"}})
+    grid, _, state = fresh(still)
+    r_adv, r_drift, r_diff = stability_rates(grid, state, still.model)
+    assert r_adv == 0.0 and r_drift == 0.0 and 0.9 / r_diff < 1.0
+    assert choose_dt(grid, state, still.model, 1.0, None) == 1.0
 
 
 def test_forced_large_dt_raises_cfl_or_positivity(tmp_path):
@@ -273,18 +282,17 @@ def test_run_artifacts_and_checks(tmp_path):
     assert "mass_conservation" in names and len(names) == 8
 
 
-def test_resume_is_bit_exact(tmp_path):
-    cfg = make_cfg(tmp_path, **{"time.t_final": 0.15})
-    run(cfg)
+def assert_resume_bit_exact(cfg):
+    """Cut a finished run back to its middle sample, resume it, and
+    compare the CSV bytes and every snapshot sha256 with the original."""
     d = cfg.output_dir
     with open(os.path.join(d, "diagnostics.csv"), "rb") as fh:
         csv_ref = fh.read()
     manifest = load_manifest(d)
     sha_ref = {s["index"]: {k: v["sha256"] for k, v in s["files"].items()}
                for s in manifest["samples"]}
-    assert len(manifest["samples"]) == 4
-    # pretend the run died after the second sample
-    manifest["samples"] = manifest["samples"][:2]
+    # pretend the run died after the middle sample
+    manifest["samples"] = manifest["samples"][:len(sha_ref) // 2]
     manifest["status"] = "running"
     write_manifest(d, manifest)
 
@@ -294,9 +302,18 @@ def test_resume_is_bit_exact(tmp_path):
     assert csv_new == csv_ref
     manifest2 = load_manifest(d)
     assert manifest2["status"] == "complete"
+    assert len(manifest2["samples"]) == len(sha_ref)
     for s in manifest2["samples"]:
         assert {k: v["sha256"] for k, v in s["files"].items()} \
             == sha_ref[s["index"]]
+    return result
+
+
+def test_resume_is_bit_exact(tmp_path):
+    cfg = make_cfg(tmp_path, **{"time.t_final": 0.15})
+    run(cfg)
+    assert len(load_manifest(cfg.output_dir)["samples"]) == 4
+    result = assert_resume_bit_exact(cfg)
     assert result.state.t == 0.15
 
 
@@ -309,3 +326,115 @@ def test_resume_rejects_changed_config(tmp_path):
     nodir = make_cfg()
     with pytest.raises(ConfigError, match="output"):
         run(nodir, resume=True)
+
+
+# ------------------------------------------------------------
+# density substeps under the diffusive limit
+# ------------------------------------------------------------
+
+def plume_cfg(tmp_path, cells, dt_max, t_final, sample_every=None):
+    """Acceptance config4's physics (a Gaussian plume under gravity along
+    the last axis) on the given grid."""
+    gravity = [0.0] * len(cells)
+    gravity[-1] = -1.0
+    raw = {"grid": {"cells": list(cells), "extent": [4.0] * len(cells)},
+           "model": {"m": 1.2, "k_D": 1.0, "eps": 0.05},
+           "phi": {"gradient": gravity},
+           "time": {"t_final": t_final, "dt_max": dt_max},
+           "ic": {"n0": {"preset": "gaussian", "amplitude": 2.0,
+                         "width": 0.5},
+                  "c0": {"preset": "constant", "value": 1.0},
+                  "u0": {"preset": "zero"}}}
+    if sample_every is not None:
+        raw["time"]["sample_every"] = sample_every
+    if tmp_path is not None:
+        raw["output"] = {"dir": str(tmp_path / "run")}
+    return parse_config(raw)
+
+
+@pytest.fixture
+def density_updates(monkeypatch):
+    """Records, per coupled step: its dt, the dt of each n-update it runs,
+    and the diffusive rate of the density its first n-update starts from."""
+    steps = []
+    step_orig, step_n_orig = solver.step, solver.step_n
+
+    def recording_step(grid, cache, state, model, dt, **kwargs):
+        steps.append({"dt": dt, "n_dts": [], "r_diff": None})
+        return step_orig(grid, cache, state, model, dt, **kwargs)
+
+    def recording_step_n(grid, state, model, dt):
+        if steps[-1]["r_diff"] is None:
+            steps[-1]["r_diff"] = stability_rates(grid, state, model)[2]
+        steps[-1]["n_dts"].append(dt)
+        return step_n_orig(grid, state, model, dt)
+
+    monkeypatch.setattr(solver, "step", recording_step)
+    monkeypatch.setattr(solver, "step_n", recording_step_n)
+    return steps
+
+
+def assert_equal_substeps(steps):
+    """Each step runs k = ceil(dt r_diff / 0.9) equal n-updates of dt/k."""
+    for s in steps:
+        dt, n_dts = s["dt"], s["n_dts"]
+        ratio = dt * s["r_diff"] / 0.9
+        k = math.ceil(ratio) if ratio > 1.0 else 1
+        assert n_dts == [dt / k] * k, s
+
+
+def assert_conserved_and_positive(result):
+    mass0 = result.records[0].mass
+    for r in result.records:
+        assert abs(r.mass - mass0) <= 1e-12 * mass0, f"t={r.t}"
+    assert float(np.min(result.state.n)) >= 0.0
+
+
+def test_diffusion_bound_run_substeps_density(tmp_path, density_updates):
+    # config4 at 64^2: the diffusive limit (7.3e-4) is 4x below dt_max
+    cfg = plume_cfg(tmp_path, (64, 64), dt_max=3e-3, t_final=0.03,
+                    sample_every=0.01)
+    result = run(cfg)
+    # dt_max sets every step: three full steps and a closing one a sample
+    assert result.steps_taken == 12
+    assert [s["dt"] == 3e-3 for s in density_updates[:12]] \
+        == [True, True, True, False] * 3
+    assert_equal_substeps(density_updates)
+    assert all(len(s["n_dts"]) >= 4 for s in density_updates[:12]
+               if s["dt"] == 3e-3)
+    assert_conserved_and_positive(result)
+    assert_resume_bit_exact(cfg)
+
+
+def test_density_update_takes_dt_below_the_diffusive_limit(density_updates):
+    cfg = plume_cfg(None, (64, 64), dt_max=2e-4, t_final=1e-3)
+    grid, cache, state = fresh(cfg)
+    for _ in range(3):
+        dt = choose_dt(grid, state, cfg.model, 2e-4, None)
+        assert dt * stability_rates(grid, state, cfg.model)[2] <= 0.9
+        solver.step(grid, cache, state, cfg.model, dt)
+    assert [s["n_dts"] for s in density_updates] == [[2e-4]] * 3
+
+
+def test_forced_dt_gets_one_density_update(density_updates):
+    cfg = plume_cfg(None, (64, 64), dt_max=2e-4, t_final=1e-3)
+    grid, cache, state = fresh(cfg)
+    # above the 0.9 margin, below the per-cell outflow certificate
+    dt = 0.95 / stability_rates(grid, state, cfg.model)[2]
+    solver.step(grid, cache, state, cfg.model, dt, forced=True)
+    solver.step(grid, cache, state, cfg.model, dt)
+    assert [s["n_dts"] for s in density_updates] \
+        == [[dt], [0.5 * dt, 0.5 * dt]]
+
+
+def test_coupled_3d_run_substeps_density(tmp_path, density_updates):
+    # 16^3: the diffusive limit (7.8e-3) sits just below dt_max, so k = 2
+    cfg = plume_cfg(tmp_path, (16, 16, 16), dt_max=0.01, t_final=0.04,
+                    sample_every=0.01)
+    result = run(cfg)
+    assert result.steps_taken == 4
+    assert_equal_substeps(density_updates)
+    assert [len(s["n_dts"]) for s in density_updates[:4]] == [2] * 4
+    assert_conserved_and_positive(result)
+    assert all(r.div_u_inf <= 1e-10 for r in result.records)
+    assert_resume_bit_exact(cfg)
