@@ -23,8 +23,8 @@ class ExponentDomainError(ConfigError):
 class NumericalError(ChemoStokesError):
     """A running simulation violated a guaranteed invariant (CLI exit code 2).
 
-    Raised when a step would break positivity, the advective/drift outflow
-    of some cell exceeds its content (CFL violation), or a linear solve
+    Raised when a density update leaves some cell negative (positivity
+    loss, the runtime check of the stability budget), or a linear solve
     leaves a residual above tolerance.  The message names the offending
     quantity, cell, and time.
     """

@@ -21,10 +21,6 @@ one quadratic and two iteration schemes:
 
   psi ladder     p_k = psi(p_{k-1}), started just below the pivot; grows
              at least geometrically with ratio Gamma(m) > 1 once m > 9/8.
-
-convolution_decay evaluates the singular-kernel Duhamel integral
-int_0^t (t-s)^(-beta) e^(-lambda (t-s)) h(s) ds that the decay estimates
-hinge on, with the kernel singularity integrated exactly per panel.
 """
 
 from __future__ import annotations
@@ -330,44 +326,3 @@ def run_psi_ladder(m: float, cap: float) -> BootstrapLadder:
             reason = "reached_cap"
             break
     return BootstrapLadder("psi", m, cap, entries, reason)
-
-
-# ============================================================
-# singular Duhamel integral
-# ============================================================
-
-def convolution_decay(beta: float, lam: float, h, t: float,
-                      panels: int = 4000) -> float:
-    """Evaluate int_0^t (t-s)^(-beta) e^(-lam (t-s)) h(s) ds.
-
-    Substituting sigma = t - s, the kernel factor sigma^(-beta) is
-    integrated exactly on each panel of a graded mesh sigma_j =
-    t (j/panels)^g with g = max(2, 2/(1-beta)) (nodes cluster at the
-    singularity); the smooth factor e^(-lam sigma) h(t - sigma) is taken at
-    the kernel-weighted centroid of the panel, which cancels the leading
-    error term.  h must accept an ndarray of times in (0, t].
-
-    Requires 0 < beta < 1 (integrable singularity), lam > 0, t > 0.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ExponentDomainError(
-            f"convolution_decay requires beta in (0,1) for an integrable "
-            f"kernel singularity, got {beta}")
-    if lam <= 0.0:
-        raise ExponentDomainError(
-            f"convolution_decay requires lam > 0, got {lam}")
-    if t <= 0.0:
-        raise ExponentDomainError(
-            f"convolution_decay requires t > 0, got {t}")
-    if panels < 1:
-        raise ExponentDomainError(
-            f"convolution_decay requires panels >= 1, got {panels}")
-
-    grading = max(2.0, 2.0 / (1.0 - beta))
-    edges = t * (np.arange(panels + 1) / panels) ** grading
-    a, b = edges[:-1], edges[1:]
-    w = (b ** (1.0 - beta) - a ** (1.0 - beta)) / (1.0 - beta)
-    # kernel-weighted centroid of each panel: int sigma^(1-beta) / int sigma^(-beta)
-    centroid = ((b ** (2.0 - beta) - a ** (2.0 - beta)) / (2.0 - beta)) / w
-    vals = np.exp(-lam * centroid) * np.asarray(h(t - centroid), dtype=float)
-    return float(np.sum(w * vals))

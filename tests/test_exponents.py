@@ -1,8 +1,8 @@
 """Exponent-algebra tests.
 
 Expected values are either hand-checkable rationals, independent
-re-derivations (polynomial roots via np.roots, quadrature via
-math.gamma), or frozen outputs of those oracles.
+re-derivations (polynomial roots via np.roots), or frozen outputs of
+those oracles.
 """
 
 import math
@@ -255,36 +255,3 @@ def test_psi_ladder_domain():
         ex.run_psi_ladder(1.1, 1e6)
     with pytest.raises(ExponentDomainError):
         ex.run_psi_ladder(1.25, 0.5)
-
-
-# ---------- convolution ----------
-
-def test_convolution_gamma_references():
-    ones = lambda s: np.ones_like(s)
-    v = ex.convolution_decay(0.2, 1.0, ones, 40.0)
-    assert v == pytest.approx(math.gamma(0.8), rel=1e-5)
-    v = ex.convolution_decay(0.8, 2.0, ones, 30.0)
-    assert v == pytest.approx(math.gamma(0.2) * 2.0 ** (-0.2), rel=1e-5)
-
-
-def test_convolution_monotone_saturation():
-    ones = lambda s: np.ones_like(s)
-    vals = [ex.convolution_decay(0.5, 1.0, ones, t)
-            for t in (0.5, 1.0, 2.0, 4.0, 8.0, 30.0)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(math.sqrt(math.pi), rel=1e-6)
-
-
-def test_convolution_decaying_source_decays():
-    h = lambda s: np.exp(-s)
-    v1 = ex.convolution_decay(0.5, 1.0, h, 10.0)
-    v2 = ex.convolution_decay(0.5, 1.0, h, 20.0)
-    assert 0.0 < v2 < v1
-
-
-def test_convolution_domain():
-    ones = lambda s: np.ones_like(s)
-    for bad in ((1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (0.5, 0.0, 1.0),
-                (0.5, 1.0, 0.0)):
-        with pytest.raises(ExponentDomainError):
-            ex.convolution_decay(bad[0], bad[1], ones, bad[2])

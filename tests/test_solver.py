@@ -210,6 +210,14 @@ def test_choose_dt_contract():
     r_adv, r_drift, r_diff = stability_rates(grid, state, still.model)
     assert r_adv == 0.0 and r_drift == 0.0 and 0.9 / r_diff < 1.0
     assert choose_dt(grid, state, still.model, 1.0, None) == 1.0
+    # u = 0 and a cosine c: the drift rate does not limit dt either
+    tilted = make_cfg(**{"ic.u0": {"preset": "zero"},
+                         "ic.c0": {"preset": "cosine", "value": 1.0,
+                                   "amplitude": 0.5}})
+    grid, _, state = fresh(tilted)
+    r_adv, r_drift, _ = stability_rates(grid, state, tilted.model)
+    assert r_adv == 0.0 and 0.9 / r_drift < 1.0
+    assert choose_dt(grid, state, tilted.model, 1.0, None) == 1.0
 
 
 def test_forced_large_dt_raises_cfl_or_positivity(tmp_path):
@@ -329,12 +337,13 @@ def test_resume_rejects_changed_config(tmp_path):
 
 
 # ------------------------------------------------------------
-# density substeps under the diffusive limit
+# density substeps under the stability budget
 # ------------------------------------------------------------
 
-def plume_cfg(tmp_path, cells, dt_max, t_final, sample_every=None):
+def plume_cfg(tmp_path, cells, dt_max, t_final, sample_every=None,
+              c0=None):
     """Acceptance config4's physics (a Gaussian plume under gravity along
-    the last axis) on the given grid."""
+    the last axis) on the given grid, optionally with another c0."""
     gravity = [0.0] * len(cells)
     gravity[-1] = -1.0
     raw = {"grid": {"cells": list(cells), "extent": [4.0] * len(cells)},
@@ -343,7 +352,7 @@ def plume_cfg(tmp_path, cells, dt_max, t_final, sample_every=None):
            "time": {"t_final": t_final, "dt_max": dt_max},
            "ic": {"n0": {"preset": "gaussian", "amplitude": 2.0,
                          "width": 0.5},
-                  "c0": {"preset": "constant", "value": 1.0},
+                  "c0": c0 or {"preset": "constant", "value": 1.0},
                   "u0": {"preset": "zero"}}}
     if sample_every is not None:
         raw["time"]["sample_every"] = sample_every
@@ -355,17 +364,18 @@ def plume_cfg(tmp_path, cells, dt_max, t_final, sample_every=None):
 @pytest.fixture
 def density_updates(monkeypatch):
     """Records, per coupled step: its dt, the dt of each n-update it runs,
-    and the diffusive rate of the density its first n-update starts from."""
+    and the three stability rates of the state its first n-update starts
+    from."""
     steps = []
     step_orig, step_n_orig = solver.step, solver.step_n
 
     def recording_step(grid, cache, state, model, dt, **kwargs):
-        steps.append({"dt": dt, "n_dts": [], "r_diff": None})
+        steps.append({"dt": dt, "n_dts": [], "rates": None})
         return step_orig(grid, cache, state, model, dt, **kwargs)
 
     def recording_step_n(grid, state, model, dt):
-        if steps[-1]["r_diff"] is None:
-            steps[-1]["r_diff"] = stability_rates(grid, state, model)[2]
+        if steps[-1]["rates"] is None:
+            steps[-1]["rates"] = stability_rates(grid, state, model)
         steps[-1]["n_dts"].append(dt)
         return step_n_orig(grid, state, model, dt)
 
@@ -375,10 +385,12 @@ def density_updates(monkeypatch):
 
 
 def assert_equal_substeps(steps):
-    """Each step runs k = ceil(dt r_diff / 0.9) equal n-updates of dt/k."""
+    """Each step runs k = ceil(dt (r_adv + r_drift + r_diff) / 0.9) equal
+    n-updates of dt/k."""
     for s in steps:
         dt, n_dts = s["dt"], s["n_dts"]
-        ratio = dt * s["r_diff"] / 0.9
+        r_adv, r_drift, r_diff = s["rates"]
+        ratio = dt * (r_adv + r_drift + r_diff) / 0.9
         k = math.ceil(ratio) if ratio > 1.0 else 1
         assert n_dts == [dt / k] * k, s
 
@@ -402,6 +414,26 @@ def test_diffusion_bound_run_substeps_density(tmp_path, density_updates):
     assert_equal_substeps(density_updates)
     assert all(len(s["n_dts"]) >= 4 for s in density_updates[:12]
                if s["dt"] == 3e-3)
+    assert_conserved_and_positive(result)
+    assert_resume_bit_exact(cfg)
+
+
+def test_drift_bound_run_substeps_density(tmp_path, density_updates):
+    # config4 at 128^2 under a steep cosine c: the drift rate matters as
+    # much as the diffusive one, so positivity needs the summed budget,
+    # which takes dt_max and one more substep than diffusion alone would
+    cfg = plume_cfg(tmp_path, (128, 128), dt_max=2e-4, t_final=2e-3,
+                    sample_every=4e-4,
+                    c0={"preset": "cosine", "value": 50.0,
+                        "amplitude": 50.0, "mode": 4})
+    result = run(cfg)
+    # dt_max (not the drift limit, 1.8e-4) sets every step
+    assert result.steps_taken == 10
+    assert [s["dt"] for s in density_updates[:10]] \
+        == pytest.approx([2e-4] * 10, rel=1e-9)
+    assert_equal_substeps(density_updates)
+    assert all(len(s["n_dts"]) > math.ceil(s["dt"] * s["rates"][2] / 0.9)
+               for s in density_updates[:10])
     assert_conserved_and_positive(result)
     assert_resume_bit_exact(cfg)
 
