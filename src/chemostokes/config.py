@@ -37,7 +37,6 @@ class TimeParams:
     t_final: float
     dt_max: float
     sample_every: float | None = None   # None: record only t=0 and t_final
-    force_dt: float | None = None       # debug: bypass the stability selector
 
 
 @dataclass(frozen=True)
@@ -175,11 +174,11 @@ def parse_config(source) -> SimConfig:
     sample_every = _opt_num(tm, "sample_every", "time")
     _check(sample_every is None or 0.0 < sample_every <= t_final,
            f"time.sample_every: must lie in (0, t_final], got {sample_every}")
-    force_dt = _opt_num(tm, "force_dt", "time")
-    _check(force_dt is None or force_dt > 0.0,
-           f"time.force_dt: must be > 0, got {force_dt}")
+    _check("force_dt" not in tm,
+           "time.force_dt: no longer supported; every step runs under the "
+           "stability budget, so cap dt with time.dt_max")
     time = TimeParams(t_final=t_final, dt_max=dt_max,
-                      sample_every=sample_every, force_dt=force_dt)
+                      sample_every=sample_every)
 
     dg = raw.get("diagnostics", {})
     lp = tuple(dg.get("lp", (2.0, 4.0, "m")))
@@ -233,8 +232,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "ic": {"n0": cfg.ic.n0, "c0": cfg.ic.c0, "u0": cfg.ic.u0,
                **_present(perturb=cfg.ic.perturb)},
         "time": {"t_final": cfg.time.t_final, "dt_max": cfg.time.dt_max,
-                 **_present(sample_every=cfg.time.sample_every,
-                            force_dt=cfg.time.force_dt)},
+                 **_present(sample_every=cfg.time.sample_every)},
         "diagnostics": {
             **_present(kappa=dg.kappa, c1_quasi=dg.c1_quasi,
                        sigma_c=dg.sigma_c),

@@ -170,11 +170,6 @@ class CheckResult:
     at_time: float
     detail: str = ""
 
-    def to_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "max_deviation": self.max_deviation,
-                "at_time": self.at_time, "detail": self.detail}
-
 
 def check_mass_conservation(records, tol_rel: float = 1e-12) -> CheckResult:
     """|mass(t) - mass(0)| <= tol_rel * mass(0) at every sample."""

@@ -21,18 +21,17 @@ size dt is a Lie splitting u -> c -> n:
       -avg(d_eps(n)) * grad_h n.  Boundary faces carry zero flux, so the
       cell sum telescopes and mass is conserved to round-off.
 
-One stability budget serves the whole step.  The c-step's only explicit
+One stability budget serves every step.  The c-step's only explicit
 term is upwind advection by u, so dt is 0.9 (CFL) times its limit 1/r_adv,
 capped at dt_max.  The density update has three explicit rates: advection
-r_adv, drift r_drift (chi_eps <= 1 times the face gradient of c) and
-degenerate diffusion r_diff, which scales with 1/h^2.  After the c-step,
-with u and c frozen for the n-phase, step() runs the n-update
-k = ceil(dt * (r_adv + r_drift + r_diff) / 0.9) times in equal substeps of
-dt/k, so the u- and c-steps run once per step whatever h is.  k is not
-recounted between substeps.  A forced dt (time.force_dt) gets one
-n-update and no stability control.  The positivity guard on every
-n-update is the runtime certificate: it raises NumericalError naming the
-first cell whose density went negative.
+r_adv, drift r_drift (chi_eps <= 1 times the face gradient of c, counted
+for both faces of an axis) and degenerate diffusion r_diff, which scales
+with 1/h^2.  After the c-step, with u and c frozen for the n-phase,
+step() runs the n-update k = ceil(dt * (r_adv + r_drift + r_diff) / 0.9)
+times in equal substeps of dt/k, so the u- and c-steps run once per step
+whatever h is.  k is not recounted between substeps.  The positivity
+guard on every n-update is the runtime certificate: it raises
+NumericalError naming the first cell whose density went negative.
 """
 
 from __future__ import annotations
@@ -308,50 +307,44 @@ def step_n(grid: Grid, state: FieldState, model, dt: float) -> None:
 def stability_rates(grid: Grid, state: FieldState, model):
     """Summed per-axis rates of the three explicit mechanisms: upwind
     advection by u, chemotactic drift (chi_eps <= 1) and degenerate
-    diffusion of n."""
+    diffusion of n.  The drift rate counts both faces of an axis: at a
+    grid-scale minimum of c, drift drains a cell through both."""
     r_adv = sum(float(np.max(np.abs(state.u[a]))) / grid.h[a]
                 for a in range(grid.dim))
-    r_drift = sum(float(np.max(np.abs(face_diff(grid, state.c, a)))) / grid.h[a]
-                  for a in range(grid.dim))
+    r_drift = sum(2.0 * float(np.max(np.abs(face_diff(grid, state.c, a))))
+                  / grid.h[a] for a in range(grid.dim))
     max_d = model.k_d * float(np.max(state.n)) ** (model.m - 1.0) + model.eps
     r_diff = sum(2.0 * max_d / (grid.h[a] * grid.h[a])
                  for a in range(grid.dim))
     return r_adv, r_drift, r_diff
 
 
-def choose_dt(grid: Grid, state: FieldState, model, dt_max: float,
-              force_dt: float | None = None) -> float:
+def choose_dt(grid: Grid, state: FieldState, model, dt_max: float) -> float:
     """0.9 times the advective limit of the c-step, capped at dt_max;
     step() substeps the density update under the whole budget."""
-    if force_dt is not None:
-        return force_dt
     r_adv = stability_rates(grid, state, model)[0]
     return min(dt_max, CFL / r_adv) if r_adv > 0.0 else dt_max
 
 
 def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
-         dt: float, forced: bool = False) -> dict:
+         dt: float) -> dict:
     """Advance the coupled state by dt (Lie order u -> c -> n); returns
     the u- and c-steps' residuals.
 
     The n-update runs k = ceil(dt * (r_adv + r_drift + r_diff) / 0.9)
     times with dt/k, the rates taken once after the c-step (u and c stay
-    frozen for the n-phase), or once when the dt is forced.  k is not
-    recounted between substeps.  Aggregation can raise max n, and so
+    frozen for the n-phase); a NaN or infinite ratio gives k = 1.  k is
+    not recounted between substeps: aggregation can raise max n, and so
     r_diff, within the n-phase, but only by a fraction of the 0.1 left
-    below 1: on a drift-bound 256^2 plume the budget of a later substep
-    reached 0.907.  The positivity guard checks every substep.
+    below 1.  The positivity guard checks every substep.
     """
     if dt <= 0.0:
         raise NumericalError(f"nonpositive dt = {dt} at t = {state.t}")
     residuals = {}
     residuals.update(step_u(grid, cache, state, model, dt))
     residuals.update(step_c(grid, cache, state, model, dt))
-    k = 1
-    if not forced:
-        ratio = dt * sum(stability_rates(grid, state, model)) / CFL
-        if 1.0 < ratio < math.inf:      # NaN and inf: one update, as forced
-            k = math.ceil(ratio)
+    ratio = dt * sum(stability_rates(grid, state, model)) / CFL
+    k = math.ceil(ratio) if 1.0 < ratio < math.inf else 1
     for _ in range(k):
         step_n(grid, state, model, dt / k)
     state.t += dt
@@ -467,16 +460,12 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         start_idx = len(records)   # next schedule index to produce
         for idx in range(start_idx, len(schedule)):
             target = schedule[idx]
-            if target <= state.t:
-                continue
             while state.t < target:
-                dt = choose_dt(grid, state, model, cfg.time.dt_max,
-                               cfg.time.force_dt)
+                dt = choose_dt(grid, state, model, cfg.time.dt_max)
                 closing = state.t + dt >= target - 1e-12 * max(1.0, target)
                 if closing:
                     dt = target - state.t
-                residuals = step(grid, cache, state, model, dt,
-                                 forced=cfg.time.force_dt is not None)
+                residuals = step(grid, cache, state, model, dt)
                 if closing:
                     state.t = target
                 tallies.update(grid, model, state, dt)
@@ -494,7 +483,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
     checks = standard_checks(records, grid, diag)
     if run_dir:
         write_json(os.path.join(run_dir, "checks.json"),
-                   [c.to_dict() for c in checks])
+                   [asdict(c) for c in checks])
         manifest["status"] = "complete"
         write_manifest(run_dir, manifest)
     return RunResult(config=cfg, grid=grid, records=records, checks=checks,

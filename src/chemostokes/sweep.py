@@ -38,7 +38,7 @@ from .config import load_json, parse_config
 from .errors import ChemoStokesError, ConfigError
 from .grid import Grid
 from .snapshots import load_manifest, read_field, write_json
-from .solver import run
+from .solver import init_state, run
 
 _AXES = ("m", "eps", "grid")
 
@@ -92,7 +92,10 @@ def parse_sweep(source) -> SweepSpec:
     if not isinstance(base, dict):
         raise ConfigError(
             "sweep.base_config: must be a config object or a path to one")
-    parse_config(dict(base))   # validate the base once, up front
+    # validate the base once, up front, initial condition included
+    cfg = parse_config(dict(base))
+    init_state(Grid(cfg.grid_cells, cfg.grid_extent), cfg.model, cfg.ic,
+               seed=cfg.seed)
 
     workers = _members_at_once(raw.get("parallel_runs", 1),
                                "sweep.parallel_runs")
@@ -178,11 +181,9 @@ def write_exponent_certificate(run_dir: str, m: float, cap: float = 1e6):
     write_json(os.path.join(run_dir, "exponents_certificate.json"), cert)
 
 
-def _final_density(run_dir: str):
-    manifest = load_manifest(run_dir)
-    if manifest["status"] != "complete":
-        return None
-    entry = manifest["samples"][-1]["files"]["n"]
+def _final_density(run_dir: str) -> np.ndarray:
+    """The last snapshot's density of a complete run."""
+    entry = load_manifest(run_dir)["samples"][-1]["files"]["n"]
     arr, _ = read_field(os.path.join(run_dir, entry["path"]),
                         expect_sha256=entry["sha256"])
     return arr
@@ -282,7 +283,7 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
                 prev = None
                 continue
             cur = _final_density(summary["run_dir"])
-            if prev is not None and cur is not None:
+            if prev is not None:
                 summary["l1_distance_to_prev"] = float(
                     np.sum(np.abs(cur - prev)) * cell_vol)
             prev = cur

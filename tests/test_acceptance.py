@@ -192,7 +192,7 @@ def test_criterion_7_heat_equation_oracle():
                        u=grid.zero_velocity(), p=np.zeros(grid.cells))
     samples = [(0.0, float(np.max(state.c) - np.mean(state.c)))]
     while state.t < 0.3 - 1e-12:
-        dt = min(choose_dt(grid, state, model, 1e-3, None),
+        dt = min(choose_dt(grid, state, model, 1e-3),
                  0.3 - state.t)
         step(grid, cache, state, model, dt)
         samples.append((state.t,

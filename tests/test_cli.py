@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from chemostokes import solver
 from chemostokes.cli import main
 from chemostokes.config import config_to_dict, parse_config
-from chemostokes.errors import ConfigError
+from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.sweep import (SweepSpec, apply_override, parse_sweep,
                                run_sweep)
 
@@ -88,6 +89,8 @@ def test_parse_config_defaults():
     (lambda d: d["time"].update(dt_max=-1e-3), "time.dt_max"),
     (lambda d: d["time"].update(sample_every=1.0), "time.sample_every"),
     (lambda d: d["time"].update(force_dt=0.0), "time.force_dt"),
+    pytest.param(lambda d: d["time"].update(force_dt=1e-4), "time.force_dt",
+                 id="positive-time.force_dt"),
     (lambda d: d["ic"].update(perturb={"amplitude": 1.0}), "perturb"),
     (lambda d: d["ic"].pop("n0"), "n0"),
     (lambda d: d.pop("time"), "time"),
@@ -263,7 +266,7 @@ def test_cli_simulate_seed_determinism(tmp_path, capsys):
     assert csv_bytes("c", 8) != csv_bytes("a", 7)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # missing config file -> 1
     assert main(["simulate", "--config",
                  str(tmp_path / "absent.json")]) == 1
@@ -295,23 +298,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--output-dir", str(tmp_path / "fresh"),
                  "simulate", "--config", cfg_path, "--resume"]) == 1
     assert "no manifest" in capsys.readouterr().err
-    # numerical blow-up under a forced oversized step -> 2
-    blow = json.loads(json.dumps(TINY))
-    blow["time"]["force_dt"] = 0.05
-    blow["time"]["t_final"] = 0.5
-    blow["ic"]["u0"] = {"preset": "vortex", "amplitude": 3.0}
+    # a numerical failure inside the run -> 2
+    def failing_step_n(grid, state, model, dt):
+        raise NumericalError(f"density positivity lost at t = {state.t}")
+
+    monkeypatch.setattr(solver, "step_n", failing_step_n)
     rc = main(["--output-dir", str(tmp_path / "blow"),
-               "simulate", "--config",
-               write_json(tmp_path, "blow.json", blow)])
+               "simulate", "--config", cfg_path])
     err = capsys.readouterr().err
     assert rc == 2
     assert "numerical failure:" in err
 
 
 def test_cli_sweep_bad_sources(tmp_path, capsys):
-    """A missing spec, a spec that is not an object and a base_config file
-    holding malformed JSON all exit 1 with an error line, not a
-    traceback."""
+    """A missing spec, a spec that is not an object, a base_config file
+    holding malformed JSON and a base config whose initial condition
+    cannot be built all exit 1 with an error line, not a traceback."""
     assert main(["--output-dir", str(tmp_path / "a"), "sweep", "--spec",
                  str(tmp_path / "absent.json")]) == 1
     assert "error: no such sweep spec file" in capsys.readouterr().err
@@ -326,6 +328,16 @@ def test_cli_sweep_bad_sources(tmp_path, capsys):
                  spec_path]) == 1
     assert "error: sweep.base_config is not valid JSON" in \
         capsys.readouterr().err
+    bad_ic = json.loads(json.dumps(TINY))
+    bad_ic["ic"]["n0"] = {"preset": "sawtooth"}
+    spec_path = write_json(tmp_path, "bad_ic.json", {
+        "axis": "eps", "values": [0.2, 0.1], "base_config": bad_ic})
+    out = tmp_path / "c"
+    assert main(["--output-dir", str(out), "sweep", "--spec",
+                 spec_path]) == 1
+    assert "error: ic.n0: unknown preset 'sawtooth'" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

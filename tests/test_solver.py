@@ -155,7 +155,7 @@ def test_mass_conservation_and_monotone_bounds():
     mass0 = float(np.sum(state.n)) * vol
     c_max = float(np.max(state.c))
     for _ in range(40):
-        dt = choose_dt(grid, state, model, 1e-3, None)
+        dt = choose_dt(grid, state, model, 1e-3)
         step(grid, cache, state, model, dt)
         c_max_new = float(np.max(state.c))
         assert c_max_new <= c_max + 1e-12 * (1.0 + c_max)
@@ -198,10 +198,9 @@ def test_step_rejects_nonpositive_dt():
 def test_choose_dt_contract():
     cfg = make_cfg()
     grid, _, state = fresh(cfg)
-    assert choose_dt(grid, state, cfg.model, 1e-3, 7e-4) == 7e-4
-    auto = choose_dt(grid, state, cfg.model, 1e-3, None)
+    auto = choose_dt(grid, state, cfg.model, 1e-3)
     assert 0.0 < auto <= 1e-3
-    tiny = choose_dt(grid, state, cfg.model, 1e-9, None)
+    tiny = choose_dt(grid, state, cfg.model, 1e-9)
     assert tiny == 1e-9
     # u = 0 and constant c: only the diffusive rate is nonzero, and it
     # does not limit dt (step() substeps the density update instead)
@@ -209,7 +208,7 @@ def test_choose_dt_contract():
     grid, _, state = fresh(still)
     r_adv, r_drift, r_diff = stability_rates(grid, state, still.model)
     assert r_adv == 0.0 and r_drift == 0.0 and 0.9 / r_diff < 1.0
-    assert choose_dt(grid, state, still.model, 1.0, None) == 1.0
+    assert choose_dt(grid, state, still.model, 1.0) == 1.0
     # u = 0 and a cosine c: the drift rate does not limit dt either
     tilted = make_cfg(**{"ic.u0": {"preset": "zero"},
                          "ic.c0": {"preset": "cosine", "value": 1.0,
@@ -217,21 +216,32 @@ def test_choose_dt_contract():
     grid, _, state = fresh(tilted)
     r_adv, r_drift, _ = stability_rates(grid, state, tilted.model)
     assert r_adv == 0.0 and 0.9 / r_drift < 1.0
-    assert choose_dt(grid, state, tilted.model, 1.0, None) == 1.0
+    assert choose_dt(grid, state, tilted.model, 1.0) == 1.0
 
 
-def test_forced_large_dt_raises_cfl_or_positivity(tmp_path):
-    cfg = make_cfg(tmp_path, **{"time.force_dt": 2e-2,
-                                "time.t_final": 0.2,
-                                "phi.gradient": [0.0, -5.0],
-                                "ic.u0": {"preset": "vortex",
-                                          "amplitude": 2.0}})
+def test_oversized_density_update_raises_positivity():
+    # one n-update of dt_max under a grid-scale cosine c spends about three
+    # times the budget; the cells at the minima of c go negative
+    cfg = plume_cfg(None, (32, 32), dt_max=2e-4, t_final=2e-3,
+                    c0={"preset": "cosine", "value": 50.0,
+                        "amplitude": 50.0, "mode": 31})
+    grid, _, state = fresh(cfg)
     with pytest.raises(NumericalError,
-                       match="CFL violation|positivity"):
+                       match=r"density positivity lost at cell \("):
+        solver.step_n(grid, state, cfg.model, 2e-4)
+
+
+def test_numerical_failure_marks_run_failed(tmp_path, monkeypatch):
+    def failing_step_n(grid, state, model, dt):
+        raise NumericalError(f"injected failure at t = {state.t}")
+
+    monkeypatch.setattr(solver, "step_n", failing_step_n)
+    cfg = make_cfg(tmp_path)
+    with pytest.raises(NumericalError, match="injected failure"):
         run(cfg)
     manifest = load_manifest(cfg.output_dir)
     assert manifest["status"] == "failed"
-    assert "error" in manifest
+    assert manifest["error"] == "injected failure at t = 0.0"
 
 
 # ------------------------------------------------------------
@@ -369,9 +379,9 @@ def density_updates(monkeypatch):
     steps = []
     step_orig, step_n_orig = solver.step, solver.step_n
 
-    def recording_step(grid, cache, state, model, dt, **kwargs):
+    def recording_step(grid, cache, state, model, dt):
         steps.append({"dt": dt, "n_dts": [], "rates": None})
-        return step_orig(grid, cache, state, model, dt, **kwargs)
+        return step_orig(grid, cache, state, model, dt)
 
     def recording_step_n(grid, state, model, dt):
         if steps[-1]["rates"] is None:
@@ -438,25 +448,28 @@ def test_drift_bound_run_substeps_density(tmp_path, density_updates):
     assert_resume_bit_exact(cfg)
 
 
+@pytest.mark.parametrize("cells, mode", [(32, 31), (32, 30), (64, 63)])
+def test_grid_scale_drift_counts_both_faces(cells, mode, density_updates):
+    # config4 under a cosine c at the grid's own scale: at each minimum of
+    # c, drift drains the cell through both faces of the axis, so the
+    # budget must count the drift rate twice to keep n nonnegative
+    cfg = plume_cfg(None, (cells, cells), dt_max=2e-4, t_final=2e-3,
+                    c0={"preset": "cosine", "value": 50.0,
+                        "amplitude": 50.0, "mode": mode})
+    result = run(cfg)
+    assert result.steps_taken == 10
+    assert_equal_substeps(density_updates)
+    assert_conserved_and_positive(result)
+
+
 def test_density_update_takes_dt_below_the_diffusive_limit(density_updates):
     cfg = plume_cfg(None, (64, 64), dt_max=2e-4, t_final=1e-3)
     grid, cache, state = fresh(cfg)
     for _ in range(3):
-        dt = choose_dt(grid, state, cfg.model, 2e-4, None)
+        dt = choose_dt(grid, state, cfg.model, 2e-4)
         assert dt * stability_rates(grid, state, cfg.model)[2] <= 0.9
         solver.step(grid, cache, state, cfg.model, dt)
     assert [s["n_dts"] for s in density_updates] == [[2e-4]] * 3
-
-
-def test_forced_dt_gets_one_density_update(density_updates):
-    cfg = plume_cfg(None, (64, 64), dt_max=2e-4, t_final=1e-3)
-    grid, cache, state = fresh(cfg)
-    # above the 0.9 margin, below the per-cell outflow certificate
-    dt = 0.95 / stability_rates(grid, state, cfg.model)[2]
-    solver.step(grid, cache, state, cfg.model, dt, forced=True)
-    solver.step(grid, cache, state, cfg.model, dt)
-    assert [s["n_dts"] for s in density_updates] \
-        == [[dt], [0.5 * dt, 0.5 * dt]]
 
 
 def test_coupled_3d_run_substeps_density(tmp_path, density_updates):
