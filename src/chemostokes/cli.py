@@ -8,8 +8,9 @@
 Global flags: --output-dir (overrides the config's output.dir / sweep
 root), --threads (sweep members run at once, >= 1, the calling process
 included; defaults to the spec's parallel_runs; a single simulate is
-always single-process), --seed (initial-condition perturbation / sampling
-seed).  Exit codes: 0 success, 1 invalid configuration or parameters,
+always single-process), --seed (when given, overrides the config's seed
+in simulate and every member's in sweep; regcheck's sampling seed,
+default 0).  Exit codes: 0 success, 1 invalid configuration or parameters,
 2 numerical failure (partial outputs are kept with a failed manifest).
 """
 
@@ -39,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: the spec's parallel_runs; simulate "
                              "is single-process; results do not depend on "
                              "this)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for initial-condition perturbations "
-                             "and regcheck sampling")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="replaces the config's seed (simulate, every "
+                             "sweep member); regcheck's seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one configured simulation")
@@ -79,7 +80,7 @@ def _cmd_simulate(args) -> int:
     overrides = {}
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir
-    if args.seed:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
         from dataclasses import replace
@@ -130,7 +131,7 @@ def _cmd_regcheck(args) -> int:
         raise ConfigError(f"--eps: not a comma-separated float list: "
                           f"{args.eps!r}") from None
     reports = run_property_suite(eps_list, n_samples=args.samples,
-                                 seed=args.seed, m=args.m)
+                                 seed=args.seed or 0, m=args.m)
     all_ok = True
     for report in reports:
         for res in report.results:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,17 @@ def _opt_num(obj: dict, key: str, where: str):
     return None if obj.get(key) is None else _num(obj[key], f"{where}.{key}")
 
 
+def known_keys(obj, keys, where: str):
+    """Reject a section that is not a JSON object or holds a key outside
+    `keys`, so that a misspelled key cannot run silently with a default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key; known: "
+                              f"{', '.join(keys)}")
+
+
 def _check(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
@@ -120,24 +132,21 @@ def load_json(source, what: str) -> dict:
 def parse_config(source) -> SimConfig:
     """Parse a config from a dict, a JSON string, or a file path."""
     raw = load_json(source, "config")
+    known_keys(raw, ("grid", "model", "phi", "ic", "time", "diagnostics",
+                     "output", "seed"), "config")
 
     gr = _req(raw, "grid", "config")
+    known_keys(gr, ("cells", "extent"), "grid")
     cells = _req(gr, "cells", "grid")
     _check(isinstance(cells, (list, tuple)) and all(
         isinstance(c, int) and not isinstance(c, bool) for c in cells),
         f"grid.cells: must be a list of integers, got {cells!r}")
-    cells = tuple(cells)
-    _check(len(cells) in (2, 3), f"grid.cells: need 2 or 3 axes, got {cells}")
-    _check(all(c >= 2 for c in cells),
-           f"grid.cells: need >= 2 cells per axis, got {cells}")
-    extent = tuple(_num(e, "grid.extent") for e in _req(gr, "extent", "grid"))
-    _check(len(extent) == len(cells),
-           f"grid.extent: must have {len(cells)} entries, got {extent}")
-    _check(all(e > 0 for e in extent),
-           f"grid.extent: must be positive, got {extent}")
-    dim = len(cells)
+    grid = Grid(cells, [_num(e, "grid.extent")
+                        for e in _req(gr, "extent", "grid")])
+    cells, dim = grid.cells, grid.dim
 
     md = _req(raw, "model", "config")
+    known_keys(md, ("m", "k_D", "k_d", "eps"), "model")
     m = _num(_req(md, "m", "model"), "model.m")
     _check(m > 1.0, f"model.m: must be > 1 (degenerate diffusion), got {m}")
     k_d = _num(md.get("k_D", md.get("k_d", 1.0)), "model.k_D")
@@ -146,18 +155,21 @@ def parse_config(source) -> SimConfig:
     _check(0.0 < eps <= 1.0, f"model.eps: must lie in (0, 1], got {eps}")
 
     phi = raw.get("phi", {"gradient": [0.0] * dim})
+    known_keys(phi, ("gradient",), "phi")
     grad = tuple(_num(g, "phi.gradient") for g in _req(phi, "gradient", "phi"))
     _check(len(grad) == dim,
            f"phi.gradient: must have {dim} entries, got {grad}")
     model = ModelParams(m=m, k_d=k_d, eps=eps, phi_gradient=grad)
 
     ic_raw = _req(raw, "ic", "config")
+    known_keys(ic_raw, ("n0", "c0", "u0", "perturb"), "ic")
     for fld in ("n0", "c0"):
         spec = _req(ic_raw, fld, "ic")
         _check(isinstance(spec, dict) and "preset" in spec,
                f"ic.{fld}: must be an object with a 'preset' key")
     perturb = ic_raw.get("perturb")
     if perturb is not None:
+        known_keys(perturb, ("amplitude",), "ic.perturb")
         amp = _num(_req(perturb, "amplitude", "ic.perturb"),
                    "ic.perturb.amplitude")
         _check(0.0 <= amp < 1.0,
@@ -167,6 +179,7 @@ def parse_config(source) -> SimConfig:
                 perturb=dict(perturb) if perturb else None)
 
     tm = _req(raw, "time", "config")
+    known_keys(tm, ("t_final", "dt_max", "sample_every"), "time")
     t_final = _num(_req(tm, "t_final", "time"), "time.t_final")
     _check(t_final > 0.0, f"time.t_final: must be > 0, got {t_final}")
     dt_max = _num(_req(tm, "dt_max", "time"), "time.dt_max")
@@ -174,22 +187,16 @@ def parse_config(source) -> SimConfig:
     sample_every = _opt_num(tm, "sample_every", "time")
     _check(sample_every is None or 0.0 < sample_every <= t_final,
            f"time.sample_every: must lie in (0, t_final], got {sample_every}")
-    _check("force_dt" not in tm,
-           "time.force_dt: no longer supported; every step runs under the "
-           "stability budget, so cap dt with time.dt_max")
     time = TimeParams(t_final=t_final, dt_max=dt_max,
                       sample_every=sample_every)
 
     dg = raw.get("diagnostics", {})
-    lp = tuple(dg.get("lp", (2.0, 4.0, "m")))
-    lp_resolved = []
-    for p in lp:
-        if p == "m":
-            lp_resolved.append("m")
-        else:
-            pv = _num(p, "diagnostics.lp")
-            _check(pv >= 1.0, f"diagnostics.lp: exponents must be >= 1, got {pv}")
-            lp_resolved.append(pv)
+    known_keys(dg, ("kappa", "c1_quasi", "sigma_c", "lp", "window"),
+               "diagnostics")
+    lp = tuple(p if p == "m" else _num(p, "diagnostics.lp")
+               for p in dg.get("lp", (2.0, 4.0, "m")))
+    _check(all(p == "m" or p >= 1.0 for p in lp),
+           f"diagnostics.lp: exponents must be >= 1, got {lp}")
     window = _num(dg.get("window", 1.0), "diagnostics.window")
     _check(window > 0.0, f"diagnostics.window: must be > 0, got {window}")
     kappa = _opt_num(dg, "kappa", "diagnostics")
@@ -202,15 +209,16 @@ def parse_config(source) -> SimConfig:
     _check(sigma_c is None or sigma_c > 0.0,
            f"diagnostics.sigma_c: must be > 0, got {sigma_c}")
     diag = DiagnosticsParams(kappa=kappa, c1_quasi=c1_quasi, sigma_c=sigma_c,
-                             lp=tuple(lp_resolved), window=window)
+                             lp=lp, window=window)
 
     output = raw.get("output", {})
+    known_keys(output, ("dir",), "output")
     out_dir = output.get("dir")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    _check(isinstance(seed, int) and not isinstance(seed, bool),
+           f"seed: must be an integer, got {seed!r}")
 
-    return SimConfig(dim=dim, grid_cells=cells, grid_extent=extent,
+    return SimConfig(dim=dim, grid_cells=cells, grid_extent=grid.extent,
                      model=model, ic=ic, time=time,
                      output_dir=out_dir, seed=seed, diagnostics=diag)
 

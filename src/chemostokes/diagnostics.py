@@ -171,24 +171,28 @@ class CheckResult:
     detail: str = ""
 
 
+def _worst(values, times, lowest=False):
+    """The first largest (lowest: smallest) of `values` and its time; a
+    NaN counts as the extreme, so it fails the caller's comparison."""
+    k = int(np.argmin(values) if lowest else np.argmax(values))
+    return values[k], times[k]
+
+
 def check_mass_conservation(records, tol_rel: float = 1e-12) -> CheckResult:
     """|mass(t) - mass(0)| <= tol_rel * mass(0) at every sample."""
     m0 = records[0].mass
-    devs = [abs(r.mass - m0) for r in records]
-    k = int(np.argmax(devs))
-    return CheckResult("mass_conservation", devs[k] <= tol_rel * abs(m0),
-                       devs[k] / abs(m0) if m0 else devs[k], records[k].t,
+    worst, at = _worst([abs(r.mass - m0) for r in records],
+                       [r.t for r in records])
+    return CheckResult("mass_conservation", worst <= tol_rel * abs(m0),
+                       worst / abs(m0) if m0 else worst, at,
                        f"relative to initial mass {m0!r}")
 
 
 def check_c_max_monotone(records, tol: float = 1e-12) -> CheckResult:
     """max c non-increasing across samples, up to tol * (1 + max c0)."""
     slack = tol * (1.0 + records[0].c_max)
-    worst, at = -np.inf, records[0].t
-    for prev, cur in zip(records, records[1:]):
-        rise = cur.c_max - prev.c_max
-        if rise > worst:
-            worst, at = rise, cur.t
+    rises = [cur.c_max - prev.c_max for prev, cur in zip(records, records[1:])]
+    worst, at = _worst([-np.inf] + rises, [r.t for r in records])
     return CheckResult("c_max_monotone", worst <= slack, worst, at,
                        f"largest rise between consecutive samples, slack {slack!r}")
 
@@ -201,11 +205,8 @@ def check_c_mass_identity(records, tol: float = 1e-3) -> CheckResult:
     shrinks roughly linearly under dt halving.
     """
     ref = records[0].c_mass
-    worst, at = 0.0, records[0].t
-    for r in records:
-        dev = abs(r.c_mass + r.consumed_mass_running - ref)
-        if dev > worst:
-            worst, at = dev, r.t
+    devs = [abs(r.c_mass + r.consumed_mass_running - ref) for r in records]
+    worst, at = _worst(devs, [r.t for r in records])
     return CheckResult("c_mass_identity", worst <= tol, worst, at,
                        f"absolute deviation from initial c-mass {ref!r}")
 
@@ -217,11 +218,8 @@ def check_c_l2_inequality(records, tol_rel: float = 1e-6) -> CheckResult:
     diffusion identity becomes an inequality with margin.
     """
     rhs = 0.5 * records[0].c_l2sq * (1.0 + tol_rel)
-    worst, at = -np.inf, records[0].t
-    for r in records:
-        excess = 0.5 * r.c_l2sq + r.gradc_l2_running - rhs
-        if excess > worst:
-            worst, at = excess, r.t
+    excess = [0.5 * r.c_l2sq + r.gradc_l2_running - rhs for r in records]
+    worst, at = _worst(excess, [r.t for r in records])
     return CheckResult("c_l2_inequality", worst <= 0.0, worst, at,
                        "largest excess over the initial-energy bound")
 
@@ -229,11 +227,8 @@ def check_c_l2_inequality(records, tol_rel: float = 1e-6) -> CheckResult:
 def check_entropy_floor(records, volume: float) -> CheckResult:
     """entropy(t) >= -|Omega|/e at every sample (pointwise bound, summed)."""
     floor = -volume / np.e
-    worst, at = np.inf, records[0].t
-    for r in records:
-        margin = r.entropy - floor
-        if margin < worst:
-            worst, at = margin, r.t
+    worst, at = _worst([r.entropy - floor for r in records],
+                       [r.t for r in records], lowest=True)
     return CheckResult("entropy_floor", worst >= -1e-9 * (1.0 + volume),
                        worst, at, f"smallest margin above -|Omega|/e = {floor!r}")
 
@@ -243,15 +238,14 @@ def check_decay(records, threshold: float = 0.1) -> CheckResult:
     value, u against its run max; each must drop below `threshold` times
     the reference."""
     last = records[-1]
-    ref_n = max(r.decay_gap_n for r in records)
+    ref_n = float(np.max([r.decay_gap_n for r in records]))
     ref_c = records[0].decay_gap_c
-    ref_u = max(r.decay_gap_u for r in records)
-    ratios = []
-    for gap, ref in ((last.decay_gap_n, ref_n), (last.decay_gap_c, ref_c),
-                     (last.decay_gap_u, ref_u)):
-        ratios.append(gap / ref if ref > 0.0 else 0.0)
-    worst = max(ratios)
-    return CheckResult("decay", worst <= threshold, worst, last.t,
+    ref_u = float(np.max([r.decay_gap_u for r in records]))
+    ratios = [0.0 if ref == 0.0 else gap / ref for gap, ref in (
+        (last.decay_gap_n, ref_n), (last.decay_gap_c, ref_c),
+        (last.decay_gap_u, ref_u))]
+    worst, at = _worst(ratios, [last.t] * 3)
+    return CheckResult("decay", worst <= threshold, worst, at,
                        f"gap ratios n/c/u = {ratios[0]:.3g}/{ratios[1]:.3g}/{ratios[2]:.3g}")
 
 
@@ -280,14 +274,12 @@ def check_energy_boundedness(records, window: float,
             return CheckResult("energy_boundedness", False, np.inf, lo,
                                f"window [{lo}, {hi}] has < 2 samples")
         integrals.append(float(np.trapezoid(diss[sel], ts[sel])))
-    worst, at = -np.inf, t0
-    scale = max(integrals)
-    for j in range(skip_windows, nwin - 1):
-        rise = integrals[j + 1] - integrals[j] * (1.0 + tol_rel)
-        if rise > worst:
-            worst, at = rise, t0 + (j + 1) * window
-    return CheckResult("energy_boundedness", worst <= 1e-12 * (1.0 + scale),
-                       worst, at,
+    later = range(skip_windows, nwin - 1)
+    rises = [integrals[j + 1] - integrals[j] * (1.0 + tol_rel) for j in later]
+    worst, at = _worst([-np.inf] + rises,
+                       [t0] + [t0 + (j + 1) * window for j in later])
+    return CheckResult("energy_boundedness",
+                       worst <= 1e-12 * (1.0 + max(integrals)), worst, at,
                        f"largest windowed-dissipation rise after window {skip_windows}")
 
 
@@ -298,17 +290,17 @@ def check_quasi_energy(records, window: float) -> CheckResult:
     C(t*) = max_{t in (t*, t*+window]} y(t) / (y(t*) + sup c_l2sq over the
     window) must be finite; the largest one is reported.  This is a
     monitor: it fails only on non-finite values."""
-    ts = [r.t for r in records]
-    worst, at = 0.0, ts[0]
+    consts, starts = [0.0], [records[0].t]
     for i, r in enumerate(records):
         hi = r.t + window
         in_win = [s for s in records[i + 1:] if s.t <= hi + 1e-12]
         if not in_win or in_win[-1].t < hi - 1e-9:
             break
-        denom = r.y_quasi + max(s.c_l2sq for s in in_win)
-        c_emp = max(s.y_quasi for s in in_win) / denom if denom > 0.0 else 1.0
-        if c_emp > worst:
-            worst, at = c_emp, r.t
+        denom = r.y_quasi + float(np.max([s.c_l2sq for s in in_win]))
+        consts.append(1.0 if denom == 0.0 else
+                      float(np.max([s.y_quasi for s in in_win])) / denom)
+        starts.append(r.t)
+    worst, at = _worst(consts, starts)
     return CheckResult("quasi_energy", bool(np.isfinite(worst)), worst, at,
                        "largest empirical window constant")
 

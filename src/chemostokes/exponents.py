@@ -284,17 +284,11 @@ def run_psi_ladder(m: float, cap: float) -> BootstrapLadder:
     (equality at round-off) and a geometric floor Gamma^k p0.  Requires
     m > 9/8 and cap > 1.
     """
-    cert0 = threshold_certificate(m)
-    if not cert0.above_9_8:
-        raise ExponentDomainError(
-            f"run_psi_ladder requires m > 9/8: fixed-point gap "
-            f"16(8m-9)(m-1) must be positive, got m = {m} "
-            f"(gap = {cert0.fixed_point_gap:g})")
+    gam = gamma_of(m)   # raises below 9/8
     if cap <= 1.0:
         raise ExponentDomainError(
             f"run_psi_ladder requires cap > 1, got {cap}")
 
-    gam = gamma_of(m)
     p0 = max(1.0 + 1e-6, pivot(m) - min(delta1(m), delta2(m)) / 2.0)
     entries = [LadderEntry(0, p0, p0, True, None)]
     if p0 > cap:

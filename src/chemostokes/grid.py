@@ -35,15 +35,15 @@ class Grid:
         cells = tuple(int(c) for c in cells)
         extent = tuple(float(e) for e in extent)
         if len(cells) not in (2, 3):
-            raise ConfigError(f"grid must be 2- or 3-dimensional, got {cells}")
+            raise ConfigError(f"grid.cells: need 2 or 3 axes, got {cells}")
+        if any(c < 2 for c in cells):
+            raise ConfigError(
+                f"grid.cells: need >= 2 cells per axis, got {cells}")
         if len(extent) != len(cells):
             raise ConfigError(
-                f"grid.extent must match grid.cells in length, "
-                f"got {extent} vs {cells}")
-        if any(c < 2 for c in cells):
-            raise ConfigError(f"grid needs >= 2 cells per axis, got {cells}")
+                f"grid.extent: must have {len(cells)} entries, got {extent}")
         if any(e <= 0 for e in extent):
-            raise ConfigError(f"grid.extent must be positive, got {extent}")
+            raise ConfigError(f"grid.extent: must be positive, got {extent}")
         self.dim = len(cells)
         self.cells = cells
         self.extent = extent

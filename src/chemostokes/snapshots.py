@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .config import load_json
 from .errors import ConfigError
 
 MAGIC = b"CSLB"
@@ -129,10 +130,4 @@ def load_manifest(run_dir: str) -> dict:
     path = os.path.join(run_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ConfigError(f"no manifest at {path}")
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"manifest {path} is not valid JSON: {exc.msg} "
-                f"(line {exc.lineno})") from None
+    return load_json(path, f"manifest {path}")

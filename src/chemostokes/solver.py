@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import SimConfig, config_to_dict
+from .config import SimConfig, config_to_dict, known_keys
 from .diagnostics import RunningTallies, resolve_diagnostics, evaluate, \
     standard_checks, write_csv, read_csv, append_csv, ResolvedDiagnostics
 from .errors import ConfigError, NumericalError
@@ -82,12 +82,15 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
     xs = grid.centers()
     center = [0.5 * e for e in grid.extent]
     if preset == "constant":
+        known_keys(spec, ("preset", "value"), f"ic.{name}")
         value = float(spec.get("value", 1.0))
         if value < 0.0:
             raise ConfigError(f"ic.{name}: constant value must be >= 0, "
                               f"got {value}")
         return np.full(grid.cells, value)
     if preset == "gaussian":
+        known_keys(spec, ("preset", "amplitude", "width", "floor"),
+                   f"ic.{name}")
         amp = float(spec.get("amplitude", 1.0))
         width = float(spec.get("width", 0.1 * min(grid.extent)))
         floor = float(spec.get("floor", 0.0))
@@ -98,6 +101,8 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
         r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         return floor + amp * np.exp(-r2 / (2.0 * width * width))
     if preset == "two_bumps":
+        known_keys(spec, ("preset", "amplitude", "width", "mean"),
+                   f"ic.{name}")
         amp = float(spec.get("amplitude", 1.0))
         width = float(spec.get("width", 0.1 * min(grid.extent)))
         if amp <= 0 or width <= 0:
@@ -117,6 +122,8 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
             out *= mean / (np.sum(out) * grid.cell_volume / grid.volume)
         return out
     if preset == "cosine":
+        known_keys(spec, ("preset", "value", "amplitude", "axis", "mode"),
+                   f"ic.{name}")
         base = float(spec.get("value", 1.0))
         amp = float(spec.get("amplitude", 0.5))
         axis = int(spec.get("axis", 0))
@@ -136,8 +143,10 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
 def _build_velocity(grid: Grid, spec: dict):
     preset = spec.get("preset", "zero")
     if preset == "zero":
+        known_keys(spec, ("preset",), "ic.u0")
         return grid.zero_velocity()
     if preset == "vortex":
+        known_keys(spec, ("preset", "amplitude"), "ic.u0")
         # streamfunction on corner nodes -> discretely divergence-free
         amp = float(spec.get("amplitude", 1.0))
         nx, ny = grid.cells[0], grid.cells[1]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import exponents as expo
-from .config import load_json, parse_config
+from .config import _num, known_keys, load_json, parse_config
 from .errors import ChemoStokesError, ConfigError
 from .grid import Grid
 from .snapshots import load_manifest, read_field, write_json
@@ -61,6 +61,8 @@ def _members_at_once(value, where: str) -> int:
 def parse_sweep(source) -> SweepSpec:
     """Parse and validate a sweep spec from a dict, JSON string, or path."""
     raw = load_json(source, "sweep spec")
+    known_keys(raw, ("axis", "values", "base_config", "parallel_runs"),
+               "sweep")
 
     axis = raw.get("axis")
     if axis not in _AXES:
@@ -68,13 +70,7 @@ def parse_sweep(source) -> SweepSpec:
     values = raw.get("values")
     if not isinstance(values, (list, tuple)) or len(values) == 0:
         raise ConfigError("sweep.values: must be a nonempty list")
-    vals = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not np.isfinite(v):
-            raise ConfigError(
-                f"sweep.values: entries must be finite numbers, got {v!r}")
-        vals.append(float(v))
+    vals = [_num(v, "sweep.values") for v in values]
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError(
@@ -135,7 +131,8 @@ def run_one(task):
     cfg_dict, run_dir, seed = task
     cfg_dict = dict(cfg_dict)
     cfg_dict.setdefault("output", {})["dir"] = run_dir
-    cfg_dict.setdefault("seed", seed)
+    if seed is not None:
+        cfg_dict["seed"] = seed
     try:
         result = run(parse_config(cfg_dict))
     except ChemoStokesError as exc:
@@ -249,11 +246,12 @@ def _run_members(tasks, nworkers: int) -> list:
 
 
 def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
-              seed: int = 0):
+              seed: int | None = None):
     """Execute all members; returns (summaries, summary_csv_path).
 
     workers is the number of members run at once, the calling process
-    included; None takes the spec's parallel_runs.
+    included; None takes the spec's parallel_runs.  seed, when given,
+    overrides every member's config seed.
     """
     nworkers = spec.parallel_runs if workers is None else \
         _members_at_once(workers, "workers (--threads)")

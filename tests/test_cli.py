@@ -178,13 +178,13 @@ def test_parse_sweep_and_overrides():
     ({"axis": "nu"}, "sweep.axis"),
     ({"values": []}, "sweep.values"),
     ({"values": [0.1, 0.3, 0.2]}, "monotone"),
-    ({"values": [0.1, "x"]}, "numbers"),
+    ({"values": [0.1, "x"]}, "finite number"),
     ({"axis": "grid", "values": [12.5, 16]}, "integer"),
     ({"base_config": "/nonexistent.json"}, "no such file"),
     ({"parallel_runs": 0}, "parallel_runs"),
-    pytest.param({"values": [float("nan")]}, "finite numbers",
+    pytest.param({"values": [float("nan")]}, "finite number",
                  id="nan-finite numbers"),
-    pytest.param({"axis": "grid", "values": [float("inf")]}, "finite numbers",
+    pytest.param({"axis": "grid", "values": [float("inf")]}, "finite number",
                  id="inf-finite numbers"),
 ])
 def test_parse_sweep_rejections(patch, fragment):
@@ -201,6 +201,12 @@ def test_sweep_base_config_validated_up_front():
     with pytest.raises(ConfigError, match="model.m"):
         parse_sweep({"axis": "eps", "values": [0.2, 0.1],
                      "base_config": bad})
+
+
+def test_parse_sweep_rejects_unknown_key():
+    with pytest.raises(ConfigError, match=r"sweep\.paralel_runs: unknown key"):
+        parse_sweep({"axis": "eps", "values": [0.2, 0.1],
+                     "base_config": dict(TINY), "paralel_runs": 2})
 
 
 def test_run_sweep_eps_distances_and_summary(tmp_path):
@@ -266,6 +272,45 @@ def test_cli_simulate_seed_determinism(tmp_path, capsys):
     assert csv_bytes("c", 8) != csv_bytes("a", 7)
 
 
+def manifest_seed(run_dir):
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        return json.load(fh)["config"]["seed"]
+
+
+def test_cli_seed_zero_overrides_config_seed(tmp_path, capsys):
+    """--seed 0 replaces a config's seed like any other value does."""
+    cfg_path = write_json(tmp_path, "cfg.json", dict(TINY, seed=5))
+    for tag, flags in (("zero", ["--seed", "0"]), ("seven", ["--seed", "7"]),
+                       ("none", [])):
+        assert main(["--output-dir", str(tmp_path / tag), *flags,
+                     "simulate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert [manifest_seed(tmp_path / tag)
+            for tag in ("zero", "seven", "none")] == [0, 7, 5]
+    # the perturbation follows the seed: seed 0 is TINY's default
+    assert main(["--output-dir", str(tmp_path / "default"), "simulate",
+                 "--config", write_json(tmp_path, "tiny.json", TINY)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "zero" / "diagnostics.csv", "rb") as a, \
+            open(tmp_path / "default" / "diagnostics.csv", "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_cli_sweep_seed_overrides_member_seeds(tmp_path, capsys):
+    """sweep --seed S runs every member at S; without it each member keeps
+    its config's seed."""
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1],
+        "base_config": dict(TINY, seed=5)})
+    for tag, flags in (("seven", ["--seed", "7"]), ("none", [])):
+        assert main(["--output-dir", str(tmp_path / tag), *flags,
+                     "sweep", "--spec", spec_path]) == 0
+    capsys.readouterr()
+    for tag, seed in (("seven", 7), ("none", 5)):
+        runs = sorted((tmp_path / tag).glob("run_eps_*"))
+        assert [manifest_seed(run) for run in runs] == [seed, seed]
+
+
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # missing config file -> 1
     assert main(["simulate", "--config",
@@ -308,6 +353,26 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 2
     assert "numerical failure:" in err
+
+
+@pytest.mark.parametrize("path", [
+    "config.extra", "grid.extra", "model.extra", "phi.extra", "ic.extra",
+    "ic.perturb.extra", "time.sampel_every", "diagnostics.extra",
+    "output.extra", "ic.n0.amplitde", "ic.c0.extra", "ic.u0.extra"])
+def test_unknown_config_key_exits_1(tmp_path, capsys, path):
+    """A misspelled key exits 1 naming its JSON path, before any output
+    directory is made; it never runs silently with a default."""
+    cfg = json.loads(json.dumps(TINY))
+    *sections, key = path.split(".")
+    target = cfg
+    for name in sections[1:] if sections[0] == "config" else sections:
+        target = target.setdefault(name, {})
+    target[key] = 1.0
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "simulate", "--config",
+                 write_json(tmp_path, "cfg.json", cfg)]) == 1
+    assert f"error: {path}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_bad_sources(tmp_path, capsys):
@@ -391,6 +456,11 @@ def test_cli_exponents_table(capsys):
     # psi ladder is undefined at m below its threshold -> config error
     assert main(["exponents", "--m", "1.1", "--ladder", "psi"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_psi_ladder_names_its_threshold(capsys):
+    assert main(["exponents", "--m", "1.1", "--ladder", "psi"]) == 1
+    assert "m > 9/8" in capsys.readouterr().err
 
 
 def test_cli_regcheck(capsys):

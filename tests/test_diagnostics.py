@@ -3,6 +3,8 @@ running tallies, the verification checks on synthetic record lists, and
 the repr-exact CSV round trip.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,43 @@ def test_check_quasi_energy_window_constant():
     # window starting at t=0: max y in (0,1] is 4, denom 1 + 1 = 2
     assert res.max_deviation == pytest.approx(2.0)
     assert res.at_time == 0.0
+
+
+def healthy_series():
+    """Nine samples over [0, 4] on which all eight checks pass; with
+    window 1 the windowed dissipation and quasi-energy scans are active."""
+    return [rec(0.5 * i, dissipation_n=1.0 / (1.0 + 0.5 * i),
+                decay_gap_n=0.01 if i == 8 else 1.0,
+                decay_gap_c=0.01 if i == 8 else 1.0,
+                decay_gap_u=0.01 if i == 8 else 1.0)
+            for i in range(9)]
+
+
+@pytest.mark.parametrize("name, field, index", [
+    ("mass_conservation", "mass", 4),
+    ("c_max_monotone", "c_max", 4),
+    ("c_max_monotone", "c_max", 0),
+    ("c_mass_identity", "c_mass", 4),
+    ("c_mass_identity", "consumed_mass_running", 8),
+    ("c_l2_inequality", "c_l2sq", 4),
+    ("c_l2_inequality", "gradc_l2_running", 8),
+    ("entropy_floor", "entropy", 4),
+    ("decay", "decay_gap_c", 0),
+    ("decay", "decay_gap_n", 4),
+    ("decay", "decay_gap_u", 8),
+    ("energy_boundedness", "e_total", 4),
+    ("energy_boundedness", "dissipation_n", 7),
+    ("quasi_energy", "y_quasi", 4),
+    ("quasi_energy", "y_quasi", 8),
+])
+def test_nan_sample_fails_its_check(name, field, index):
+    grid = Grid((4, 4), (2.0, 2.0))
+    diag = SimpleNamespace(window=1.0)
+    records = healthy_series()
+    assert all(c.passed for c in standard_checks(records, grid, diag))
+    setattr(records[index], field, float("nan"))
+    res = {c.name: c for c in standard_checks(records, grid, diag)}[name]
+    assert res.passed is False, res
 
 
 def test_standard_checks_battery_names():
