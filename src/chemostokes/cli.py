@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import parse_config
 from .errors import ConfigError, NumericalError
@@ -82,10 +83,7 @@ def _cmd_simulate(args) -> int:
         overrides["output_dir"] = args.output_dir
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    result = run(cfg, resume=args.resume)
+    result = run(replace(cfg, **overrides), resume=args.resume)
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{check.name}: {status} (max_deviation={check.max_deviation:.6g}"

@@ -85,6 +85,13 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
+def float_name(x: float) -> str:
+    """x as written into a column or directory name: the short %g form
+    when it parses back to x, repr(x) otherwise, so names never collide."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _opt_num(obj: dict, key: str, where: str):
     """An optional number: None when the key is absent or null."""
     return None if obj.get(key) is None else _num(obj[key], f"{where}.{key}")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import float_name
 from .errors import NumericalError
 from .grid import Grid, divergence, grad_squared_cells, \
     velocity_dirichlet_energy, velocity_magnitude_squared_cells
@@ -42,11 +43,7 @@ class ResolvedDiagnostics:
 
 def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostics:
     c0max = float(np.max(c0))
-    lp = []
-    for p in params.lp:
-        pv = model.m if p == "m" else float(p)
-        if pv not in lp:
-            lp.append(pv)
+    lp = {model.m if p == "m" else float(p) for p in params.lp}
     return ResolvedDiagnostics(
         kappa=params.kappa if params.kappa is not None else 0.5 * c0max + 1.0,
         c1_quasi=params.c1_quasi,
@@ -113,9 +110,7 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
     c_max = float(np.max(c))
     c_l2sq = float(np.sum(c * c)) * vol
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(n > 0.0, n * np.log(np.maximum(n, 1e-300)), 0.0)
-    entropy = float(np.sum(xlogx)) * vol
+    entropy = float(np.sum(n * np.log(np.maximum(n, 1e-300)))) * vol
     floor = -grid.volume / np.e
     if entropy < floor - 1e-9 * (1.0 + grid.volume):
         raise NumericalError(
@@ -138,10 +133,6 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
     dev_l2sq = float(np.sum(dev * dev)) * vol
     y_quasi = dev_l2sq + c1 * c1 * float(np.sum(gc2)) * vol
 
-    lp_norms = {}
-    for p in diag.lp:
-        lp_norms[p] = float(np.sum(np.power(n, p)) * vol) ** (1.0 / p)
-
     return DiagnosticsRecord(
         t=state.t, mass=mass, c_mass=c_mass, c_max=c_max, c_l2sq=c_l2sq,
         entropy=entropy, grad_c_energy=grad_c_energy, kinetic=kinetic,
@@ -154,7 +145,8 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
         div_u_inf=float(np.max(np.abs(divergence(grid, u)))),
         consumed_mass_running=tallies.consumed_mass,
         gradc_l2_running=tallies.gradc_l2,
-        lp_norms=dict(lp_norms),
+        lp_norms={p: float(np.sum(np.power(n, p)) * vol) ** (1.0 / p)
+                  for p in diag.lp},
     )
 
 
@@ -328,7 +320,7 @@ _SCALAR_FIELDS = [f.name for f in fields(DiagnosticsRecord)
 
 
 def _lp_column(p: float) -> str:
-    return f"lp_norm_{p:g}"
+    return f"lp_norm_{float_name(p)}"
 
 
 def csv_header(lp: tuple) -> list:

@@ -34,7 +34,6 @@ from .errors import ExponentDomainError
 
 # thresholds, exact in binary floating point where it matters
 M_RHO = 215.0 / 192.0   # rho(9(m-1)) > 0 above this
-M_PSI = 9.0 / 8.0       # psi fixed-point gap > 0 above this
 M_LINEAR = 10.0 / 9.0   # linear-ladder fixed point exceeds 1 above this
 
 _MAX_ITER = 10_000

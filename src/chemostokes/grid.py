@@ -51,14 +51,10 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         self.volume = float(np.prod(extent))
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        """Cell-center coordinates along one axis."""
-        n, h = self.cells[axis], self.h[axis]
-        return (np.arange(n) + 0.5) * h
-
     def centers(self):
         """Cell-center coordinate arrays, broadcastable to cell shape."""
-        return np.meshgrid(*[self.axis_centers(a) for a in range(self.dim)],
+        return np.meshgrid(*[(np.arange(n) + 0.5) * h
+                             for n, h in zip(self.cells, self.h)],
                            indexing="ij")
 
     def face_shape(self, axis: int) -> tuple:

@@ -84,8 +84,9 @@ def f_eps(s, eps: float):
     r = np.clip(eps * a - 1.0, 0.0, 1.0)
     w_int = (r * r) * (r * r) * (2.5 + r * (-3.0 + r))   # W(r)
     bridge = a - w_int / eps
-    out = np.where(a >= 2.0 / eps, 1.5 / eps, np.where(a <= 1.0 / eps, a, bridge))
-    return _match(s, out)
+    # on [0, 1/eps] the clipped r is 0 (or a few ulps above), so the
+    # bridge equals a there bit for bit
+    return _match(s, np.where(a >= 2.0 / eps, 1.5 / eps, bridge))
 
 
 def g_eps(s, eps: float):

@@ -74,20 +74,14 @@ def read_field(path: str, expect_sha256: str | None = None):
     return data.reshape(shape, order="F").astype(float), float(t)
 
 
-def snapshot_fields(state, dim: int) -> dict:
-    """Name -> array map of everything a snapshot stores."""
-    out = {"n": state.n, "c": state.c, "p": state.p}
-    for a in range(dim):
-        out[f"u{a}"] = state.u[a]
-    return out
-
-
 def write_snapshot(run_dir: str, index: int, state, dim: int) -> dict:
     """Write all fields of one sample; returns the manifest files entry."""
     snap_dir = os.path.join(run_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
+    fields = {"n": state.n, "c": state.c, "p": state.p,
+              **{f"u{a}": state.u[a] for a in range(dim)}}
     files = {}
-    for name, arr in snapshot_fields(state, dim).items():
+    for name, arr in fields.items():
         rel = os.path.join("snapshots", f"sample_{index:06d}_{name}.bin")
         digest = write_field(os.path.join(run_dir, rel), arr, state.t)
         files[name] = {"path": rel, "sha256": digest}

@@ -46,8 +46,9 @@ class SpectralCache:
             return 4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h)
 
         # cell-centered Neumann: modes k = 0..N-1 over N cells
-        self.cell_lam = _broadcast_sum(
-            [lam(a, np.arange(grid.cells[a])) for a in range(dim)])
+        self.cell_lam = sum(np.meshgrid(
+            *[lam(a, np.arange(grid.cells[a])) for a in range(dim)],
+            indexing="ij", sparse=True))
         self.poisson_lam = self.cell_lam.copy()
         self.poisson_lam[(0,) * dim] = 1.0   # avoid 0/0; mode is zeroed
 
@@ -55,21 +56,11 @@ class SpectralCache:
         # modes k = 1..N-1), DST-II along the others (N samples, modes
         # k = 1..N); same eigenvalue formula with denominator 2N
         self.face_lam = [
-            _broadcast_sum([lam(b, np.arange(1, grid.cells[b] if b == a
-                                             else grid.cells[b] + 1))
-                            for b in range(dim)])
+            sum(np.meshgrid(*[lam(b, np.arange(1, grid.cells[b] if b == a
+                                               else grid.cells[b] + 1))
+                              for b in range(dim)],
+                            indexing="ij", sparse=True))
             for a in range(dim)]
-
-
-def _broadcast_sum(per_axis):
-    """Sum 1-D eigenvalue vectors into a full broadcast array."""
-    dim = len(per_axis)
-    total = 0.0
-    for a, lam in enumerate(per_axis):
-        shape = [1] * dim
-        shape[a] = lam.size
-        total = total + lam.reshape(shape)
-    return total
 
 
 def solve_neumann_poisson(cache: SpectralCache, rhs: np.ndarray) -> np.ndarray:

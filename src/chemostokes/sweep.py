@@ -34,7 +34,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import exponents as expo
-from .config import _num, known_keys, load_json, parse_config
+from .config import _num, float_name, known_keys, load_json, parse_config
 from .errors import ChemoStokesError, ConfigError
 from .grid import Grid
 from .snapshots import load_manifest, read_field, write_json
@@ -102,18 +102,16 @@ def parse_sweep(source) -> SweepSpec:
 def apply_override(base: dict, axis: str, value: float) -> dict:
     """Deep-copied base config with the swept value substituted."""
     cfg = json.loads(json.dumps(base))
-    if axis == "m":
-        cfg.setdefault("model", {})["m"] = value
-    elif axis == "eps":
-        cfg.setdefault("model", {})["eps"] = value
-    else:
+    if axis == "grid":
         dim = len(cfg["grid"]["cells"])
         cfg["grid"]["cells"] = [int(value)] * dim
+    else:
+        cfg.setdefault("model", {})[axis] = value
     return cfg
 
 
 def _value_tag(axis: str, value: float) -> str:
-    return f"run_{axis}_{value:g}".replace(".", "p")
+    return f"run_{axis}_{float_name(value)}".replace(".", "p")
 
 
 def _summary(run_dir: str, error: str = "") -> dict:

@@ -22,7 +22,7 @@ from chemostokes.exponents import (gamma_of, pivot, psi, rho,
                                    run_linear_ladder, run_psi_ladder,
                                    threshold_certificate)
 from chemostokes.grid import Grid
-from chemostokes.regularization import run_property_suite
+from chemostokes.regularization import d_eps, f_eps, run_property_suite
 from chemostokes.solver import FieldState, choose_dt, run, step
 from chemostokes.spectral import SpectralCache
 from chemostokes.sweep import parse_sweep, run_sweep
@@ -76,6 +76,30 @@ def run6():
     t0 = time.perf_counter()
     result = run(parse_config(config6()))
     return result, time.perf_counter() - t0
+
+
+def assert_linearized_rates(result, t_lo, t_hi, tol):
+    """The paper's second theorem by its rate.  Linearized about
+    (n_bar, 0, 0), u.grad n and div(n grad c) are second order, so n's
+    slowest Neumann mode decays at d_eps(n_bar) lam_h1, with
+    lam_h1 = 4 sin^2(pi / 2N) / h^2, and c's flat mode at f_eps(n_bar).
+    The log gaps fitted over [t_lo, t_hi] must match both within tol."""
+    grid, model = result.grid, result.config.model
+    n_bar = result.records[0].mass / grid.volume
+    lam_h1 = min(4.0 * np.sin(np.pi / (2.0 * n)) ** 2 / (h * h)
+                 for n, h in zip(grid.cells, grid.h))
+    predicted_n = d_eps(n_bar, model.eps, model.m, model.k_d) * lam_h1
+    predicted_c = f_eps(n_bar, model.eps)
+    # the n gap is the slower one, or the fit would see the c mode
+    assert predicted_n < predicted_c
+    window = [r for r in result.records if t_lo <= r.t <= t_hi]
+    ts = [r.t for r in window]
+    for gap, predicted in (("decay_gap_n", predicted_n),
+                           ("decay_gap_c", predicted_c)):
+        rate = -np.polyfit(ts, np.log([getattr(r, gap) for r in window]),
+                           1)[0]
+        assert abs(rate - predicted) <= tol * predicted, \
+            f"{gap} decays at {rate:.6f}, linearized rate {predicted:.6f}"
 
 
 # ------------------------------------------------------------
@@ -178,7 +202,29 @@ def test_criterion_6_stabilization(run6):
     assert entropy.passed, entropy.detail
     energy = check_energy_boundedness(records, window=1.0)
     assert energy.passed, energy.detail
+    assert_linearized_rates(result, 10.0, 20.0, tol=0.01)
     announce(6, "stabilization to the flat state", t0, 300.0)
+
+
+def test_criterion_6_stabilization_3d():
+    # the paper's domain is three-dimensional; at 16^3 the fit over [6, 8]
+    # is still 1.1% above the n prediction, hence the wider band
+    t0 = time.perf_counter()
+    cfg = config6(t_final=8.0)
+    cfg["grid"] = {"cells": [16, 16, 16], "extent": [4.0, 4.0, 4.0]}
+    cfg["phi"] = {"gradient": [0.0, 0.0, -1.0]}
+    cfg["time"]["dt_max"] = 1e-3
+    result = run(parse_config(cfg))
+    records = result.records
+    for r in records:
+        assert abs(r.mass - records[0].mass) <= 1e-12 * records[0].mass
+    assert float(np.min(result.state.n)) > 0.0
+    decay = check_decay(records)
+    assert decay.passed, decay.detail
+    # not every check: c_mass_identity's O(dt) deviation exceeds its 1e-3
+    # tolerance at this dt_max
+    assert_linearized_rates(result, 6.0, 8.0, tol=0.03)
+    announce(6, "stabilization to the flat state in 3D", t0, 60.0)
 
 
 def test_criterion_7_heat_equation_oracle():

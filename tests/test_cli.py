@@ -238,6 +238,15 @@ def test_run_sweep_m_axis_writes_certificates(tmp_path):
         assert "entries" in cert["psi_ladder"]   # both m exceed 9/8
 
 
+def test_run_sweep_m_values_alike_to_six_digits(tmp_path):
+    spec = parse_sweep({"axis": "m", "values": [1.1250001, 1.125001, 1.12501],
+                        "base_config": dict(TINY)})
+    summaries, _ = run_sweep(spec, str(tmp_path / "sw"), workers=1)
+    assert [s["status"] for s in summaries] == ["complete"] * 3
+    assert [os.path.basename(s["run_dir"]) for s in summaries] == [
+        "run_m_1p1250001", "run_m_1p125001", "run_m_1p12501"]
+
+
 # ------------------------------------------------------------
 # command line
 # ------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_entropy_floor_is_attained_not_crossed():
     assert r0.entropy == 0.0
 
 
+def test_nan_cell_fails_entropy_floor():
+    grid = Grid((4, 4), (2.0, 2.0))
+    state = uniform_state(grid, 2.0, 3.0)
+    diag = resolve_diagnostics(DiagnosticsParams(), MODEL, grid,
+                               state.n, state.c)
+    records = [evaluate(grid, MODEL, diag, state, RunningTallies())]
+    state.n[1, 2] = np.nan
+    records.append(evaluate(grid, MODEL, diag, state, RunningTallies()))
+    assert np.isnan(records[-1].entropy)
+    assert check_entropy_floor(records, grid.volume).passed is False
+
+
 def test_tallies_right_endpoint_arithmetic():
     grid = Grid((4, 4), (2.0, 2.0))
     state = uniform_state(grid, 2.0, 3.0)

@@ -335,6 +335,16 @@ def test_resume_is_bit_exact(tmp_path):
     assert result.state.t == 0.15
 
 
+def test_resume_names_m_exactly(tmp_path):
+    # %g keeps 6 significant digits; m's Lp column must keep all of them,
+    # or the resumed run cannot find its own column
+    cfg = make_cfg(tmp_path, **{"model.m": 1.125001})
+    run(cfg)
+    with open(os.path.join(cfg.output_dir, "diagnostics.csv")) as fh:
+        assert "lp_norm_1.125001" in fh.readline().rstrip().split(",")
+    assert_resume_bit_exact(cfg)
+
+
 def test_resume_rejects_changed_config(tmp_path):
     cfg = make_cfg(tmp_path)
     run(cfg)
