@@ -10,17 +10,18 @@ root), --threads (sweep members run at once, >= 1, the calling process
 included; defaults to the spec's parallel_runs; a single simulate is
 always single-process), --seed (when given, overrides the config's seed
 in simulate and every member's in sweep; regcheck's sampling seed,
-default 0).  Exit codes: 0 success, 1 invalid configuration or parameters,
-2 numerical failure (partial outputs are kept with a failed manifest).
+default 0), merged into the config before it is parsed.  Exit codes: 0
+success, 1 invalid input (configuration, parameters, usage, a damaged run
+directory to resume), 2 numerical failure (partial outputs are kept with a
+failed manifest).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import parse_config
+from .config import load_json, parse_config, with_overrides
 from .errors import ConfigError, NumericalError
 from .exponents import run_linear_ladder, run_psi_ladder
 from .regularization import run_property_suite
@@ -28,8 +29,14 @@ from .solver import run
 from .sweep import parse_sweep, run_sweep
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; subparsers are built from this class too."""
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chemostokes",
         description="Finite-volume laboratory for a regularized "
                     "chemotaxis-Stokes system")
@@ -77,13 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
-    overrides = {}
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    result = run(replace(cfg, **overrides), resume=args.resume)
+    raw = load_json(args.config, "config")
+    cfg = parse_config(with_overrides(raw, args.output_dir, args.seed))
+    result = run(cfg, resume=args.resume)
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{check.name}: {status} (max_deviation={check.max_deviation:.6g}"
@@ -143,10 +146,10 @@ def _cmd_regcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "exponents": _cmd_exponents, "regcheck": _cmd_regcheck}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

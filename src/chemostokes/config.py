@@ -1,8 +1,9 @@
 """Run configuration: dataclasses + JSON parsing with path-named errors.
 
-A configuration is a plain JSON object; parse_config validates it into
-typed dataclasses.  Error messages name the offending JSON path
-("model.m: must be > 1") so CLI users can fix files without reading code.
+A configuration is a JSON object (a dict or a file); parse_config reads
+every value into typed dataclasses, overrides merged in beforehand.  Error
+messages name the offending JSON path ("model.m: must be > 1") so CLI
+users can fix files without reading code.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
+def _int(value, where: str) -> int:
+    """An integer; JSON's true and false are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, where: str, item=_num) -> list:
+    """A list (or tuple) with each entry read by `item`."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: must be a list, got {value!r}")
+    return [item(v, where) for v in value]
+
+
 def float_name(x: float) -> str:
     """x as written into a column or directory name: the short %g form
     when it parses back to x, repr(x) otherwise, so names never collide."""
@@ -114,19 +129,18 @@ def _check(cond: bool, msg: str):
 
 
 def load_json(source, what: str) -> dict:
-    """A JSON object from a dict, a JSON string, or a file path; `what`
-    names the document in error messages."""
+    """A JSON object from a dict or a file path; `what` names the document
+    in error messages."""
     if isinstance(source, dict):
         return source
-    text = source
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-        with open(source) as fh:
-            text = fh.read()
-    elif isinstance(source, os.PathLike) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")):
+    if not isinstance(source, (str, os.PathLike)):
+        raise ConfigError(f"{what}: must be a JSON object or a path to one, "
+                          f"got {source!r}")
+    if not os.path.isfile(source):
         raise ConfigError(f"no such {what} file: {source}")
     try:
-        raw = json.loads(text)
+        with open(source) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{what} is not valid JSON: {exc.msg} "
@@ -136,20 +150,28 @@ def load_json(source, what: str) -> dict:
     return raw
 
 
+def with_overrides(raw: dict, output_dir=None, seed=None) -> dict:
+    """A copy of raw with output.dir and seed replaced where given; an
+    `output` that is not an object is kept for parse_config to reject."""
+    raw = dict(raw)
+    if seed is not None:
+        raw["seed"] = seed
+    output = raw.get("output", {})
+    if output_dir is not None and isinstance(output, dict):
+        raw["output"] = {**output, "dir": output_dir}
+    return raw
+
+
 def parse_config(source) -> SimConfig:
-    """Parse a config from a dict, a JSON string, or a file path."""
+    """Parse a config from a dict or a file path."""
     raw = load_json(source, "config")
     known_keys(raw, ("grid", "model", "phi", "ic", "time", "diagnostics",
                      "output", "seed"), "config")
 
     gr = _req(raw, "grid", "config")
     known_keys(gr, ("cells", "extent"), "grid")
-    cells = _req(gr, "cells", "grid")
-    _check(isinstance(cells, (list, tuple)) and all(
-        isinstance(c, int) and not isinstance(c, bool) for c in cells),
-        f"grid.cells: must be a list of integers, got {cells!r}")
-    grid = Grid(cells, [_num(e, "grid.extent")
-                        for e in _req(gr, "extent", "grid")])
+    grid = Grid(_list(_req(gr, "cells", "grid"), "grid.cells", _int),
+                _list(_req(gr, "extent", "grid"), "grid.extent"))
     cells, dim = grid.cells, grid.dim
 
     md = _req(raw, "model", "config")
@@ -163,7 +185,7 @@ def parse_config(source) -> SimConfig:
 
     phi = raw.get("phi", {"gradient": [0.0] * dim})
     known_keys(phi, ("gradient",), "phi")
-    grad = tuple(_num(g, "phi.gradient") for g in _req(phi, "gradient", "phi"))
+    grad = tuple(_list(_req(phi, "gradient", "phi"), "phi.gradient"))
     _check(len(grad) == dim,
            f"phi.gradient: must have {dim} entries, got {grad}")
     model = ModelParams(m=m, k_d=k_d, eps=eps, phi_gradient=grad)
@@ -174,6 +196,8 @@ def parse_config(source) -> SimConfig:
         spec = _req(ic_raw, fld, "ic")
         _check(isinstance(spec, dict) and "preset" in spec,
                f"ic.{fld}: must be an object with a 'preset' key")
+    u0 = ic_raw.get("u0", {"preset": "zero"})
+    _check(isinstance(u0, dict), f"ic.u0: must be a JSON object, got {u0!r}")
     perturb = ic_raw.get("perturb")
     if perturb is not None:
         known_keys(perturb, ("amplitude",), "ic.perturb")
@@ -181,8 +205,7 @@ def parse_config(source) -> SimConfig:
                    "ic.perturb.amplitude")
         _check(0.0 <= amp < 1.0,
                f"ic.perturb.amplitude: must lie in [0, 1), got {amp}")
-    ic = ICSpec(n0=dict(ic_raw["n0"]), c0=dict(ic_raw["c0"]),
-                u0=dict(ic_raw.get("u0", {"preset": "zero"})),
+    ic = ICSpec(n0=dict(ic_raw["n0"]), c0=dict(ic_raw["c0"]), u0=dict(u0),
                 perturb=dict(perturb) if perturb else None)
 
     tm = _req(raw, "time", "config")
@@ -200,8 +223,8 @@ def parse_config(source) -> SimConfig:
     dg = raw.get("diagnostics", {})
     known_keys(dg, ("kappa", "c1_quasi", "sigma_c", "lp", "window"),
                "diagnostics")
-    lp = tuple(p if p == "m" else _num(p, "diagnostics.lp")
-               for p in dg.get("lp", (2.0, 4.0, "m")))
+    lp = tuple(_list(dg.get("lp", (2.0, 4.0, "m")), "diagnostics.lp",
+                     lambda p, where: p if p == "m" else _num(p, where)))
     _check(all(p == "m" or p >= 1.0 for p in lp),
            f"diagnostics.lp: exponents must be >= 1, got {lp}")
     window = _num(dg.get("window", 1.0), "diagnostics.window")
@@ -221,9 +244,10 @@ def parse_config(source) -> SimConfig:
     output = raw.get("output", {})
     known_keys(output, ("dir",), "output")
     out_dir = output.get("dir")
-    seed = raw.get("seed", 0)
-    _check(isinstance(seed, int) and not isinstance(seed, bool),
-           f"seed: must be an integer, got {seed!r}")
+    _check(out_dir is None or isinstance(out_dir, str),
+           f"output.dir: must be a string, got {out_dir!r}")
+    seed = _int(raw.get("seed", 0), "seed")
+    _check(seed >= 0, f"seed: must be >= 0, got {seed}")
 
     return SimConfig(dim=dim, grid_cells=cells, grid_extent=grid.extent,
                      model=model, ic=ic, time=time,

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import SimConfig, config_to_dict, known_keys
+from .config import SimConfig, _int, config_to_dict, known_keys
 from .diagnostics import RunningTallies, resolve_diagnostics, evaluate, \
     standard_checks, write_csv, read_csv, append_csv, ResolvedDiagnostics
 from .errors import ConfigError, NumericalError
@@ -126,8 +126,8 @@ def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
                    f"ic.{name}")
         base = float(spec.get("value", 1.0))
         amp = float(spec.get("amplitude", 0.5))
-        axis = int(spec.get("axis", 0))
-        mode = int(spec.get("mode", 1))
+        axis = _int(spec.get("axis", 0), f"ic.{name}.axis")
+        mode = _int(spec.get("mode", 1), f"ic.{name}.mode")
         if not 0 <= axis < grid.dim:
             raise ConfigError(f"ic.{name}: cosine axis {axis} out of range")
         if base < abs(amp):
@@ -179,8 +179,6 @@ def init_state(grid: Grid, model, ic, seed: int = 0,
     Philox generator, so a (seed, shape) pair fully determines it.
     """
     n0 = _build_scalar(grid, ic.n0, "n0")
-    if np.min(n0) < 0.0:
-        raise ConfigError("ic.n0: initial density must be nonnegative")
     if ic.perturb is not None:
         amp = float(ic.perturb["amplitude"])
         rng = np.random.Generator(np.random.Philox(seed))
@@ -188,8 +186,6 @@ def init_state(grid: Grid, model, ic, seed: int = 0,
     if float(np.max(n0)) <= 0.0:
         raise ConfigError("ic.n0: initial density must not vanish identically")
     c0 = _build_scalar(grid, ic.c0, "c0")
-    if np.min(c0) < 0.0:
-        raise ConfigError("ic.c0: initial attractant must be nonnegative")
     u0 = _build_velocity(grid, ic.u0)
     cache = cache if cache is not None else SpectralCache(grid)
     state = FieldState(t=0.0, n=n0, c=c0, u=u0, p=np.zeros(grid.cells))
@@ -404,6 +400,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
     cache = SpectralCache(grid)
     model = cfg.model
     run_dir = cfg.output_dir
+    csv_path = os.path.join(run_dir, "diagnostics.csv") if run_dir else None
     schedule = sample_times(cfg.time.t_final, cfg.time.sample_every)
 
     if resume:
@@ -415,8 +412,18 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                 "resume: config does not match the manifest echo; "
                 "refusing to continue a different run")
         samples = manifest["samples"]
+        if not samples:
+            raise ConfigError(f"resume: no samples in {run_dir}/manifest.json")
         last = samples[-1]
-        t0, fields = load_snapshot(run_dir, last["files"], grid.dim)
+        try:
+            t0, fields = load_snapshot(run_dir, last["files"], grid.dim)
+            records = read_csv(csv_path)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"resume: no such file {exc.filename}") from None
+        if len(records) < len(samples):
+            raise ConfigError(f"resume: {csv_path} has {len(records)} rows "
+                              f"for {len(samples)} samples")
+        records = records[:len(samples)]
         state = FieldState(
             t=t0, n=fields["n"], c=fields["c"],
             u=[fields[f"u{a}"] for a in range(grid.dim)], p=fields["p"])
@@ -426,8 +433,6 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         diag = ResolvedDiagnostics(**{**resolved,
                                       "lp": tuple(resolved["lp"])})
         steps_taken = int(last["step_count"])
-        all_records = read_csv(os.path.join(run_dir, "diagnostics.csv"))
-        records = all_records[:len(samples)]
         manifest["status"] = "running"
         manifest.pop("error", None)
     else:
@@ -445,7 +450,6 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
 
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
-        csv_path = os.path.join(run_dir, "diagnostics.csv")
         # header, plus replayed rows on resume (truncates stale tail rows)
         write_csv(records, diag.lp, csv_path)
 
@@ -464,10 +468,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
 
     max_residuals: dict = {}
     try:
-        if not records:
-            emit(0)
-        start_idx = len(records)   # next schedule index to produce
-        for idx in range(start_idx, len(schedule)):
+        for idx in range(len(records), len(schedule)):
             target = schedule[idx]
             while state.t < target:
                 dt = choose_dt(grid, state, model, cfg.time.dt_max)

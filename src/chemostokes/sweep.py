@@ -3,7 +3,7 @@
 A sweep spec is JSON:
 
     {"axis": "eps", "values": [0.1, 0.05, 0.025],
-     "base_config": { ... or a path string ... },
+     "base_config": { ... } or "config.json",
      "parallel_runs": 3}
 
 Each value gets its own run directory under the sweep output root.
@@ -34,7 +34,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import exponents as expo
-from .config import _num, float_name, known_keys, load_json, parse_config
+from .config import _int, _list, float_name, known_keys, load_json, \
+    parse_config, with_overrides
 from .errors import ChemoStokesError, ConfigError
 from .grid import Grid
 from .snapshots import load_manifest, read_field, write_json
@@ -52,14 +53,13 @@ class SweepSpec:
 
 
 def _members_at_once(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(
-            f"{where}: must be a positive integer, got {value!r}")
+    if _int(value, where) < 1:
+        raise ConfigError(f"{where}: must be a positive integer, got {value}")
     return value
 
 
 def parse_sweep(source) -> SweepSpec:
-    """Parse and validate a sweep spec from a dict, JSON string, or path."""
+    """Parse and validate a sweep spec from a dict or a file path."""
     raw = load_json(source, "sweep spec")
     known_keys(raw, ("axis", "values", "base_config", "parallel_runs"),
                "sweep")
@@ -67,10 +67,9 @@ def parse_sweep(source) -> SweepSpec:
     axis = raw.get("axis")
     if axis not in _AXES:
         raise ConfigError(f"sweep.axis: must be one of {_AXES}, got {axis!r}")
-    values = raw.get("values")
-    if not isinstance(values, (list, tuple)) or len(values) == 0:
+    vals = _list(raw.get("values"), "sweep.values")
+    if not vals:
         raise ConfigError("sweep.values: must be a nonempty list")
-    vals = [_num(v, "sweep.values") for v in values]
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError(
@@ -80,16 +79,9 @@ def parse_sweep(source) -> SweepSpec:
             f"sweep.values: grid sweeps need integer cell counts >= 2, "
             f"got {vals}")
 
-    base = raw.get("base_config")
-    if isinstance(base, str):
-        if not os.path.exists(base):
-            raise ConfigError(f"sweep.base_config: no such file {base!r}")
-        base = load_json(base, "sweep.base_config")
-    if not isinstance(base, dict):
-        raise ConfigError(
-            "sweep.base_config: must be a config object or a path to one")
+    base = load_json(raw.get("base_config"), "sweep.base_config")
     # validate the base once, up front, initial condition included
-    cfg = parse_config(dict(base))
+    cfg = parse_config(base)
     init_state(Grid(cfg.grid_cells, cfg.grid_extent), cfg.model, cfg.ic,
                seed=cfg.seed)
 
@@ -126,13 +118,9 @@ def run_one(task):
     """Execute one sweep member, in the calling process or a spawn worker.
     Must stay a module-level function: the spawn start method pickles it
     by reference, and run_sweep looks it up by name at each call."""
-    cfg_dict, run_dir, seed = task
-    cfg_dict = dict(cfg_dict)
-    cfg_dict.setdefault("output", {})["dir"] = run_dir
-    if seed is not None:
-        cfg_dict["seed"] = seed
+    cfg_dict, run_dir = task
     try:
-        result = run(parse_config(cfg_dict))
+        result = run(parse_config(with_overrides(cfg_dict, run_dir)))
     except ChemoStokesError as exc:
         return _summary(run_dir, str(exc))
     summary = _summary(run_dir)
@@ -147,30 +135,15 @@ def run_one(task):
     return summary
 
 
-def _ladder_json(ladder) -> dict:
-    return {
-        "kind": ladder.kind, "m": ladder.m, "cap": ladder.cap,
-        "terminated_reason": ladder.terminated_reason,
-        "final_p": ladder.final_p,
-        "entries": [
-            {"k": e.k, "p": e.p, "gamma_floor": e.gamma_floor,
-             "growth_ok": e.growth_ok,
-             "admissible": None if e.certificate is None
-             else e.certificate.admissible}
-            for e in ladder.entries],
-    }
-
-
 def write_exponent_certificate(run_dir: str, m: float, cap: float = 1e6):
     """Attach whatever exponent evidence is defined at this m."""
     cert: dict = {"m": m, "threshold": asdict(expo.threshold_certificate(m))}
     try:
-        cert["linear_ladder"] = _ladder_json(
-            expo.run_linear_ladder(m, 1.0, cap))
+        cert["linear_ladder"] = asdict(expo.run_linear_ladder(m, 1.0, cap))
     except ConfigError as exc:
         cert["linear_ladder"] = {"undefined": str(exc)}
     try:
-        cert["psi_ladder"] = _ladder_json(expo.run_psi_ladder(m, cap))
+        cert["psi_ladder"] = asdict(expo.run_psi_ladder(m, cap))
     except ConfigError as exc:
         cert["psi_ladder"] = {"undefined": str(exc)}
     write_json(os.path.join(run_dir, "exponents_certificate.json"), cert)
@@ -253,12 +226,12 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
     """
     nworkers = spec.parallel_runs if workers is None else \
         _members_at_once(workers, "workers (--threads)")
+    base = with_overrides(spec.base_config, seed=seed)
+    base_cfg = parse_config(base)   # a bad seed exits before any output
     os.makedirs(out_root, exist_ok=True)
-    tasks = []
-    for value in spec.values:
-        run_dir = os.path.join(out_root, _value_tag(spec.axis, value))
-        tasks.append((apply_override(spec.base_config, spec.axis, value),
-                      run_dir, seed))
+    tasks = [(apply_override(base, spec.axis, value),
+              os.path.join(out_root, _value_tag(spec.axis, value)))
+             for value in spec.values]
 
     summaries = _run_members(tasks, min(nworkers, len(tasks)))
 
@@ -270,8 +243,7 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
 
     if spec.axis == "eps":
         # an eps sweep keeps the base grid in every member
-        base = parse_config(spec.base_config)
-        cell_vol = Grid(base.grid_cells, base.grid_extent).cell_volume
+        cell_vol = Grid(base_cfg.grid_cells, base_cfg.grid_extent).cell_volume
         prev = None
         for summary in summaries:
             summary["l1_distance_to_prev"] = ""

@@ -6,6 +6,7 @@ pyproject.toml resolves to cli.main and, written as the standard
 launcher, runs by name from this checkout without an install.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -49,9 +50,8 @@ def write_json(tmp_path, name, obj):
 
 def test_parse_config_sources_agree(tmp_path):
     from_dict = parse_config(dict(TINY))
-    from_str = parse_config(json.dumps(TINY))
     from_file = parse_config(write_json(tmp_path, "cfg.json", TINY))
-    assert from_dict == from_str == from_file
+    assert from_dict == from_file
     # canonical echo reparses to the same config
     assert parse_config(config_to_dict(from_dict)) == from_dict
 
@@ -128,6 +128,22 @@ def test_parse_config_defaults():
           ("zero", lambda d: d.update(diagnostics={"sigma_c": 0.0}),
            "diagnostics.sigma_c"),
       ]],
+    # each JSON kind is read by its reader, never iterated or converted
+    *[pytest.param(mutate, fragment, id=f"{name}-{fragment}")
+      for name, mutate, fragment in [
+          ("scalar", lambda d: d["grid"].update(extent=5), "grid.extent"),
+          ("scalar", lambda d: d["phi"].update(gradient=5), "phi.gradient"),
+          ("scalar", lambda d: d.update(diagnostics={"lp": 5}),
+           "diagnostics.lp"),
+          ("string", lambda d: d.update(diagnostics={"lp": "m"}),
+           "diagnostics.lp"),
+          ("scalar", lambda d: d.update(output={"dir": 5}), "output.dir"),
+          ("scalar", lambda d: d["ic"].update(u0=5), "ic.u0"),
+          ("string", lambda d: d["ic"].update(u0="zero"), "ic.u0"),
+          ("null", lambda d: d["ic"].update(u0=None), "ic.u0"),
+          ("list", lambda d: d["ic"].update(u0=[]), "ic.u0"),
+          ("negative", lambda d: d.update(seed=-1), "seed"),
+      ]],
 ])
 def test_parse_config_rejections(mutate, fragment):
     raw = json.loads(json.dumps(TINY))
@@ -141,8 +157,10 @@ def test_parse_config_bad_sources(tmp_path):
         parse_config(str(tmp_path / "absent.json"))
     with pytest.raises(ConfigError, match="no such config file"):
         parse_config(tmp_path / "absent.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        parse_config("{broken")
+        parse_config(str(broken))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="top level"):
@@ -180,7 +198,7 @@ def test_parse_sweep_and_overrides():
     ({"values": [0.1, 0.3, 0.2]}, "monotone"),
     ({"values": [0.1, "x"]}, "finite number"),
     ({"axis": "grid", "values": [12.5, 16]}, "integer"),
-    ({"base_config": "/nonexistent.json"}, "no such file"),
+    ({"base_config": "/nonexistent.json"}, "no such sweep.base_config file"),
     ({"parallel_runs": 0}, "parallel_runs"),
     pytest.param({"values": [float("nan")]}, "finite number",
                  id="nan-finite numbers"),
@@ -225,17 +243,26 @@ def test_run_sweep_eps_distances_and_summary(tmp_path):
 
 
 def test_run_sweep_m_axis_writes_certificates(tmp_path):
-    spec = parse_sweep({"axis": "m", "values": [1.2, 1.3],
+    spec = parse_sweep({"axis": "m", "values": [1.1, 1.2, 1.3],
                         "base_config": dict(TINY)})
     summaries, _ = run_sweep(spec, str(tmp_path / "sw"), workers=1)
+    certs = {}
     for s in summaries:
         cert_path = os.path.join(s["run_dir"], "exponents_certificate.json")
         with open(cert_path) as fh:
-            cert = json.load(fh)
+            cert = certs[s["value"]] = json.load(fh)
         assert set(cert) == {"m", "threshold", "linear_ladder", "psi_ladder"}
-        assert cert["threshold"]["above_9_8"] is True
-        assert "entries" in cert["linear_ladder"]
-        assert "entries" in cert["psi_ladder"]   # both m exceed 9/8
+        above = s["value"] > 9 / 8
+        assert cert["threshold"]["above_9_8"] is above
+        # both ladders are defined above 9/8 and undefined at m = 1.1
+        for ladder in ("linear_ladder", "psi_ladder"):
+            assert ("entries" in cert[ladder]) is above
+            assert ("undefined" in cert[ladder]) is not above
+    # each entry nests its step certificate; the last entry's p is final
+    entries = certs[1.2]["psi_ladder"]["entries"]
+    assert entries[0]["certificate"] is None
+    assert set(entries[1]["certificate"]) == {"q", "bound", "admissible"}
+    assert "final_p" not in certs[1.2]["psi_ladder"]
 
 
 def test_run_sweep_m_values_alike_to_six_digits(tmp_path):
@@ -364,6 +391,72 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert "numerical failure:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate"], id="no-config"),
+    pytest.param(["--threads", "x", "sweep", "--spec", "s.json"],
+                 id="threads-x"),
+    pytest.param(["bogus"], id="unknown-command")])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    """Exit 2 means a numerical failure; a usage error is invalid input."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: chemostokes") and len(err.splitlines()) == 1
+
+
+def cosine_c0(**params):
+    return lambda d: d["ic"].update(c0={"preset": "cosine", **params})
+
+
+@pytest.mark.parametrize("flags, mutate, fragment", [
+    pytest.param(["--seed", "-1"], None, "seed", id="flag-seed"),
+    pytest.param([], lambda d: d.update(seed=-1), "seed", id="config-seed"),
+    pytest.param([], cosine_c0(mode=1.7), "ic.c0.mode", id="cosine-mode"),
+    pytest.param([], cosine_c0(axis=True), "ic.c0.axis", id="cosine-axis"),
+])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_probes_exit_1_without_output(tmp_path, capsys, command, flags,
+                                          mutate, fragment):
+    """Values that used to end in a traceback (a negative seed reaching the
+    Philox generator, int() of a float or a bool) exit 1 with one error
+    line, before any output directory is made."""
+    cfg = json.loads(json.dumps(TINY))
+    if mutate is not None:
+        mutate(cfg)
+    source = (["--config", write_json(tmp_path, "cfg.json", cfg)]
+              if command == "simulate" else
+              ["--spec", write_json(tmp_path, "sweep.json", {
+                  "axis": "eps", "values": [0.2, 0.1], "base_config": cfg})])
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *flags, command, *source]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_sweep_failed_member(tmp_path, capsys, monkeypatch):
+    """A member that fails is reported with its error, breaks the L1 chain
+    for the member after it, and makes the sweep exit 2."""
+    real_step_n = solver.step_n
+
+    def step_n(grid, state, model, dt):
+        if model.eps == 0.1:
+            raise NumericalError(f"density positivity lost at t = {state.t}")
+        return real_step_n(grid, state, model, dt)
+
+    monkeypatch.setattr(solver, "step_n", step_n)
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1, 0.05], "base_config": dict(TINY)})
+    out = tmp_path / "sw"
+    assert main(["--output-dir", str(out), "--threads", "1", "sweep",
+                 "--spec", spec_path]) == 2
+    assert "eps=0.1: failed" in capsys.readouterr().out
+    with open(out / "sweep_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["complete", "failed", "complete"]
+    assert rows[1]["error"] == "density positivity lost at t = 0.0"
+    assert [r["l1_distance_to_prev"] for r in rows] == ["", "", ""]
+
+
 @pytest.mark.parametrize("path", [
     "config.extra", "grid.extra", "model.extra", "phi.extra", "ic.extra",
     "ic.perturb.extra", "time.sampel_every", "diagnostics.extra",
@@ -434,7 +527,7 @@ def test_dead_spawn_worker_fails_its_member(tmp_path):
     script.write_text(
         "import json\n"
         "from chemostokes.sweep import parse_sweep, run_sweep\n"
-        f"spec = parse_sweep({json.dumps(spec)!r})\n"
+        f"spec = parse_sweep({spec!r})\n"
         f"summaries, _ = run_sweep(spec, {str(tmp_path / 'sw')!r}, "
         "workers=2)\n"
         "print(json.dumps([[s['status'], s['error']] "

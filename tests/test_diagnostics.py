@@ -224,6 +224,15 @@ def test_check_energy_boundedness_windows():
     assert not inf.passed
 
 
+def test_check_energy_boundedness_sparse_window():
+    """A window holding fewer than two samples cannot be integrated: the
+    check fails at that window instead of passing it."""
+    recs = [rec(t, e_total=1.0) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 4.0)]
+    res = check_energy_boundedness(recs, 1.0)
+    assert not res.passed and res.at_time == 2.0
+    assert "< 2 samples" in res.detail
+
+
 def test_check_quasi_energy_window_constant():
     recs = [rec(0.0, y_quasi=1.0, c_l2sq=1.0),
             rec(0.5, y_quasi=4.0, c_l2sq=1.0),

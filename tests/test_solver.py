@@ -10,6 +10,7 @@ import copy
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from chemostokes.config import SimConfig, parse_config
 from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.grid import Grid, divergence, grad_squared_cells, interior
 from chemostokes.regularization import f_eps
-from chemostokes.snapshots import (load_manifest, read_field, write_field,
-                                   write_manifest)
+from chemostokes.snapshots import (load_manifest, load_snapshot, read_field,
+                                   write_field, write_manifest)
 from chemostokes.solver import (FieldState, choose_dt, init_state, run,
                                 sample_times, stability_rates, step, step_c)
 from chemostokes.spectral import SpectralCache
@@ -107,6 +108,20 @@ def test_perturbation_is_seed_deterministic():
     assert not np.array_equal(s1.n, s3.n)
     # multiplicative with small amplitude keeps the field positive
     assert float(np.min(s3.n)) > 0.0
+
+
+def test_vortex_in_three_dimensions_is_the_planar_roll():
+    planar = make_cfg(grid={"cells": [8, 6], "extent": [2.0, 1.5]})
+    cfg = make_cfg(grid={"cells": [8, 6, 4], "extent": [2.0, 1.5, 1.0]},
+                   phi={"gradient": [0.0, 0.0, -1.0]})
+    _, _, flat = fresh(planar)
+    grid, _, state = fresh(cfg)
+    assert float(np.max(np.abs(flat.u[0]))) > 0.1
+    for a in range(2):
+        for k in range(4):
+            assert np.max(np.abs(state.u[a][:, :, k] - flat.u[a])) <= 1e-13
+    assert float(np.max(np.abs(state.u[2]))) <= 1e-13
+    assert float(np.max(np.abs(divergence(grid, state.u)))) <= 1e-12
 
 
 def test_initial_velocity_projection_idempotent():
@@ -272,6 +287,30 @@ def test_field_round_trip(tmp_path):
         read_field(path)
 
 
+def test_damaged_snapshots_are_refused(tmp_path):
+    arr = np.arange(6.0).reshape(3, 2)
+    path = str(tmp_path / "f.bin")
+    write_field(path, arr, 0.5)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    for damaged, fragment in (
+            (blob[:40], "truncated header"),
+            (blob[:4] + struct.pack("<I", 2) + blob[8:],
+             "unsupported version 2"),
+            (blob[:-8], "payload has 5 values, header promises 6")):
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        with pytest.raises(ConfigError, match=fragment):
+            read_field(path)
+    # the fields of one sample must share its time
+    files = {name: {"path": f"{name}.bin",
+                    "sha256": write_field(str(tmp_path / f"{name}.bin"),
+                                          arr, t)}
+             for name, t in (("n", 0.5), ("c", 0.25))}
+    with pytest.raises(ConfigError, match="field c: time 0.25 disagrees"):
+        load_snapshot(str(tmp_path), files, 2)
+
+
 def test_run_artifacts_and_checks(tmp_path):
     cfg = make_cfg(tmp_path)
     result = run(cfg)
@@ -343,6 +382,54 @@ def test_resume_names_m_exactly(tmp_path):
     with open(os.path.join(cfg.output_dir, "diagnostics.csv")) as fh:
         assert "lp_norm_1.125001" in fh.readline().rstrip().split(",")
     assert_resume_bit_exact(cfg)
+
+
+def cut_csv_to_first_row(d):
+    path = os.path.join(d, "diagnostics.csv")
+    with open(path) as fh:
+        header, first = fh.readlines()[:2]
+    with open(path, "w") as fh:
+        fh.write(header + first)
+
+
+def drop_samples(d):
+    manifest = load_manifest(d)
+    manifest["samples"] = []
+    write_manifest(d, manifest)
+
+
+def directory_bytes(d):
+    out = {}
+    for root, _, names in os.walk(d):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as fh:
+                out[os.path.relpath(os.path.join(root, name), d)] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("damage, fragment", [
+    pytest.param(cut_csv_to_first_row, "diagnostics.csv has 1 rows",
+                 id="short-csv"),
+    pytest.param(drop_samples, "no samples in .*manifest.json",
+                 id="no-samples"),
+    pytest.param(lambda d: os.remove(os.path.join(d, "diagnostics.csv")),
+                 "no such file .*diagnostics.csv", id="no-csv"),
+    pytest.param(lambda d: os.remove(os.path.join(
+        d, "snapshots", "sample_000004_n.bin")),
+        "no such file .*sample_000004_n.bin", id="no-last-snapshot"),
+])
+def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
+    """The restart index comes from the manifest: a run directory whose
+    files cannot supply it is refused, and nothing in it is rewritten."""
+    cfg = make_cfg(tmp_path, grid={"cells": [8, 8], "extent": [2.0, 2.0]},
+                   **{"time.t_final": 0.004, "time.sample_every": 0.001})
+    run(cfg)
+    assert len(load_manifest(cfg.output_dir)["samples"]) == 5
+    damage(cfg.output_dir)
+    before = directory_bytes(cfg.output_dir)
+    with pytest.raises(ConfigError, match=fragment):
+        run(cfg, resume=True)
+    assert directory_bytes(cfg.output_dir) == before
 
 
 def test_resume_rejects_changed_config(tmp_path):
