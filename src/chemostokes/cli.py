@@ -10,7 +10,8 @@ root), --threads (sweep members run at once, >= 1, the calling process
 included; defaults to the spec's parallel_runs; a single simulate is
 always single-process), --seed (when given, overrides the config's seed
 in simulate and every member's in sweep; regcheck's sampling seed,
-default 0), merged into the config before it is parsed.  Exit codes: 0
+default 0), merged into the config before it is parsed.  The numbers of
+exponents and regcheck must be finite, like config numbers.  Exit codes: 0
 success, 1 invalid input (configuration, parameters, usage, a damaged run
 directory to resume), 2 numerical failure (partial outputs are kept with a
 failed manifest).
@@ -19,6 +20,7 @@ failed manifest).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import load_json, parse_config, with_overrides
@@ -33,6 +35,18 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1; subparsers are built from this class too."""
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+def _finite(text: str) -> float:
+    """A number flag, read like a config number: NaN and inf exit 1."""
+    value = float(text)     # a ValueError is reported as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list:
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,22 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exponents",
                            help="print a bootstrap ladder as CSV")
-    p_exp.add_argument("--m", type=float, required=True,
+    p_exp.add_argument("--m", type=_finite, required=True,
                        help="nonlinear diffusion exponent")
     p_exp.add_argument("--ladder", choices=("linear", "psi"),
                        default="psi")
-    p_exp.add_argument("--cap", type=float, default=1e6,
+    p_exp.add_argument("--cap", type=_finite, default=1e6,
                        help="stop once p exceeds this")
-    p_exp.add_argument("--p0", type=float, default=1.0,
+    p_exp.add_argument("--p0", type=_finite, default=1.0,
                        help="linear-ladder start (psi picks its own seed)")
 
     p_reg = sub.add_parser("regcheck",
                            help="sampled verification of the eps-families")
-    p_reg.add_argument("--eps", required=True,
+    p_reg.add_argument("--eps", type=_finite_list, required=True,
                        help="comma-separated eps values, e.g. 0.1,0.05")
     p_reg.add_argument("--samples", type=int, default=10_000)
-    p_reg.add_argument("--m", type=float, default=1.2,
-                       help="diffusion exponent for the d_eps checks")
+    p_reg.add_argument("--m", type=_finite, default=1.2,
+                       help="diffusion exponent for the d_eps checks, > 1")
     return parser
 
 
@@ -126,12 +140,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_regcheck(args) -> int:
-    try:
-        eps_list = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"--eps: not a comma-separated float list: "
-                          f"{args.eps!r}") from None
-    reports = run_property_suite(eps_list, n_samples=args.samples,
+    reports = run_property_suite(args.eps, n_samples=args.samples,
                                  seed=args.seed or 0, m=args.m)
     all_ok = True
     for report in reports:

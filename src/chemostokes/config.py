@@ -3,7 +3,8 @@
 A configuration is a JSON object (a dict or a file); parse_config reads
 every value into typed dataclasses, overrides merged in beforehand.  Error
 messages name the offending JSON path ("model.m: must be > 1") so CLI
-users can fix files without reading code.
+users can fix files without reading code.  Each value has one key, and a
+key the parser does not know exits 1 naming its path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class ModelParams:
     """Physical/regularization parameters.
 
     m: nonlinear diffusion exponent (> 1).
-    k_d: diffusivity scale (> 0).
+    k_d: diffusivity scale (> 0), JSON key model.k_D.
     eps: regularization strength (0 < eps <= 1).
     phi_gradient: constant gradient of the gravitational-type potential,
         one entry per axis; the buoyancy force on the fluid is
@@ -52,9 +53,9 @@ class ICSpec:
 
 @dataclass(frozen=True)
 class DiagnosticsParams:
-    kappa: float | None = None      # kinetic-energy weight; None: 0.5*max(c0) + 1
-    c1_quasi: float | None = None   # quasi-energy constant; None: running sup max n
-    sigma_c: float | None = None    # gradient-energy floor; None: 1e-12*max(c0)
+    """What to record; the energy constants (kappa, the floor sigma and
+    the quasi-energy C1) are derived from the data, see
+    diagnostics.resolve_diagnostics."""
     lp: tuple = (2.0, 4.0, "m")     # Lp norms of n to record ("m" -> model.m)
     window: float = 1.0             # window length for dissipation/quasi checks
 
@@ -107,11 +108,6 @@ def float_name(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-def _opt_num(obj: dict, key: str, where: str):
-    """An optional number: None when the key is absent or null."""
-    return None if obj.get(key) is None else _num(obj[key], f"{where}.{key}")
-
-
 def known_keys(obj, keys, where: str):
     """Reject a section that is not a JSON object or holds a key outside
     `keys`, so that a misspelled key cannot run silently with a default."""
@@ -139,12 +135,11 @@ def load_json(source, what: str) -> dict:
     if not os.path.isfile(source):
         raise ConfigError(f"no such {what} file: {source}")
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{what} is not valid JSON: {exc.msg} "
-            f"(line {exc.lineno}, column {exc.colno})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so a byte that does not decode is bad JSON
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: top level must be a JSON object")
     return raw
@@ -175,10 +170,10 @@ def parse_config(source) -> SimConfig:
     cells, dim = grid.cells, grid.dim
 
     md = _req(raw, "model", "config")
-    known_keys(md, ("m", "k_D", "k_d", "eps"), "model")
+    known_keys(md, ("m", "k_D", "eps"), "model")
     m = _num(_req(md, "m", "model"), "model.m")
     _check(m > 1.0, f"model.m: must be > 1 (degenerate diffusion), got {m}")
-    k_d = _num(md.get("k_D", md.get("k_d", 1.0)), "model.k_D")
+    k_d = _num(md.get("k_D", 1.0), "model.k_D")
     _check(k_d > 0.0, f"model.k_D: must be > 0, got {k_d}")
     eps = _num(_req(md, "eps", "model"), "model.eps")
     _check(0.0 < eps <= 1.0, f"model.eps: must lie in (0, 1], got {eps}")
@@ -214,32 +209,22 @@ def parse_config(source) -> SimConfig:
     _check(t_final > 0.0, f"time.t_final: must be > 0, got {t_final}")
     dt_max = _num(_req(tm, "dt_max", "time"), "time.dt_max")
     _check(dt_max > 0.0, f"time.dt_max: must be > 0, got {dt_max}")
-    sample_every = _opt_num(tm, "sample_every", "time")
+    sample_every = None if tm.get("sample_every") is None else \
+        _num(tm["sample_every"], "time.sample_every")
     _check(sample_every is None or 0.0 < sample_every <= t_final,
            f"time.sample_every: must lie in (0, t_final], got {sample_every}")
     time = TimeParams(t_final=t_final, dt_max=dt_max,
                       sample_every=sample_every)
 
     dg = raw.get("diagnostics", {})
-    known_keys(dg, ("kappa", "c1_quasi", "sigma_c", "lp", "window"),
-               "diagnostics")
+    known_keys(dg, ("lp", "window"), "diagnostics")
     lp = tuple(_list(dg.get("lp", (2.0, 4.0, "m")), "diagnostics.lp",
                      lambda p, where: p if p == "m" else _num(p, where)))
     _check(all(p == "m" or p >= 1.0 for p in lp),
            f"diagnostics.lp: exponents must be >= 1, got {lp}")
     window = _num(dg.get("window", 1.0), "diagnostics.window")
     _check(window > 0.0, f"diagnostics.window: must be > 0, got {window}")
-    kappa = _opt_num(dg, "kappa", "diagnostics")
-    _check(kappa is None or kappa >= 0.0,
-           f"diagnostics.kappa: must be >= 0, got {kappa}")
-    c1_quasi = _opt_num(dg, "c1_quasi", "diagnostics")
-    _check(c1_quasi is None or c1_quasi >= 0.0,
-           f"diagnostics.c1_quasi: must be >= 0, got {c1_quasi}")
-    sigma_c = _opt_num(dg, "sigma_c", "diagnostics")
-    _check(sigma_c is None or sigma_c > 0.0,
-           f"diagnostics.sigma_c: must be > 0, got {sigma_c}")
-    diag = DiagnosticsParams(kappa=kappa, c1_quasi=c1_quasi, sigma_c=sigma_c,
-                             lp=lp, window=window)
+    diag = DiagnosticsParams(lp=lp, window=window)
 
     output = raw.get("output", {})
     known_keys(output, ("dir",), "output")
@@ -261,7 +246,6 @@ def _present(**items) -> dict:
 
 def config_to_dict(cfg: SimConfig) -> dict:
     """Canonical dict form of a config (manifest echo, resume comparison)."""
-    dg = cfg.diagnostics
     return {
         "grid": {"cells": list(cfg.grid_cells),
                  "extent": list(cfg.grid_extent)},
@@ -272,11 +256,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
                **_present(perturb=cfg.ic.perturb)},
         "time": {"t_final": cfg.time.t_final, "dt_max": cfg.time.dt_max,
                  **_present(sample_every=cfg.time.sample_every)},
-        "diagnostics": {
-            **_present(kappa=dg.kappa, c1_quasi=dg.c1_quasi,
-                       sigma_c=dg.sigma_c),
-            "lp": list(dg.lp),
-            "window": dg.window,
-        },
+        "diagnostics": {"lp": list(cfg.diagnostics.lp),
+                        "window": cfg.diagnostics.window},
         "seed": cfg.seed,
     }

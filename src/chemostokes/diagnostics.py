@@ -9,7 +9,11 @@ nothing feeds back into the solver.  Conventions:
     step (dt * integrand at the post-step state), independent of any
     bookkeeping inside the steppers,
   * the entropy uses x log x with 0 log 0 = 0 and is bounded below by
-    -|Omega|/e pointwise, which evaluate() asserts.
+    -|Omega|/e pointwise, which evaluate() asserts,
+  * the energy constants come from the data, none from the config: the
+    kinetic weight kappa = 0.5 max c0 + 1 and the gradient-energy floor
+    sigma = 1e-12 max c0 (1e-12 when c0 vanishes) are fixed at t = 0,
+    and the quasi-energy constant C1 is the running sup of max n.
 
 Checks return CheckResult rows (name, passed, max deviation, worst time)
 that run() serializes into checks.json.
@@ -31,27 +35,24 @@ from .regularization import f_eps
 
 @dataclass
 class ResolvedDiagnostics:
-    """Diagnostics parameters with defaults resolved against the initial state."""
-    kappa: float
-    c1_quasi: float | None      # None: use running sup of max n
-    sigma_c: float
+    """Diagnostics parameters resolved against the initial state."""
+    kappa: float                # kinetic-energy weight
+    sigma_c: float              # gradient-energy floor, > 0
     lp: tuple                   # numeric exponents, resolved and deduped
     window: float
     mean_n0: float              # initial mean density (decay reference)
-    mass_c0: float              # initial attractant mass (identity reference)
 
 
 def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostics:
     c0max = float(np.max(c0))
     lp = {model.m if p == "m" else float(p) for p in params.lp}
     return ResolvedDiagnostics(
-        kappa=params.kappa if params.kappa is not None else 0.5 * c0max + 1.0,
-        c1_quasi=params.c1_quasi,
-        sigma_c=params.sigma_c if params.sigma_c is not None else 1e-12 * c0max,
+        kappa=0.5 * c0max + 1.0,
+        # 1e-12 where max c0 = 0, so that |grad c|^2/(c + sigma) is never 0/0
+        sigma_c=1e-12 * c0max or 1e-12,
         lp=tuple(sorted(lp)),
         window=params.window,
         mean_n0=float(np.sum(n0)) * grid.cell_volume / grid.volume,
-        mass_c0=float(np.sum(c0)) * grid.cell_volume,
     )
 
 
@@ -128,7 +129,7 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
     dissipation_c = float(np.sum(gc2 * gc2 / c_safe ** 3)) * vol
     dissipation_u = velocity_dirichlet_energy(grid, u)
 
-    c1 = diag.c1_quasi if diag.c1_quasi is not None else tallies.sup_max_n
+    c1 = tallies.sup_max_n
     dev = n - diag.mean_n0
     dev_l2sq = float(np.sum(dev * dev)) * vol
     y_quasi = dev_l2sq + c1 * c1 * float(np.sum(gc2)) * vol

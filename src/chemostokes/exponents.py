@@ -21,6 +21,8 @@ one quadratic and two iteration schemes:
 
   psi ladder     p_k = psi(p_{k-1}), started just below the pivot; grows
              at least geometrically with ratio Gamma(m) > 1 once m > 9/8.
+
+Every domain check is written as "not (inside)", so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -91,17 +93,17 @@ def step_admissible(p_star: float, p: float, q: float, m: float) -> bool:
     1e-12 relative round-off margin so that the equality case (ladder steps
     land exactly on the bound) does not flicker.
     """
-    if p_star < 1.0:
+    if not p_star >= 1.0:
         raise ExponentDomainError(
             f"step_admissible: p_star must be >= 1, got {p_star}")
-    if p <= 1.0:
+    if not p > 1.0:
         raise ExponentDomainError(
             f"step_admissible: p must be > 1, got {p}")
-    if q < 2.0:
+    if not q >= 2.0:
         raise ExponentDomainError(
             f"step_admissible: q must be >= 2 (below it the space-time "
             f"estimate does not control the round), got {q}")
-    if m <= 1.0:
+    if not m > 1.0:
         raise ExponentDomainError(
             f"step_admissible: m must be > 1, got {m}")
     bound = step_bound(p_star, q, m)
@@ -113,7 +115,7 @@ def delta1(m: float) -> float:
     root of rho.  Requires m > 215/192 so that rho(9(m-1)) > 0; then every
     p > 9(m-1) - delta1 has rho(p) > 0.
     """
-    if m <= M_RHO:
+    if not m > M_RHO:
         raise ExponentDomainError(
             f"delta1 requires m > 215/192: rho(9(m-1)) = 9(m-1)(192m-215) "
             f"must be positive, got m = {m}")
@@ -140,7 +142,7 @@ def threshold_certificate(m: float) -> ThresholdCertificate:
     ~+1e-14 and a bare sign test would misreport the boundary.  Genuine
     positives clear the guard by several orders of magnitude.
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ExponentDomainError(
             f"threshold_certificate requires m > 1, got {m}")
     piv = pivot(m)
@@ -241,14 +243,14 @@ def run_linear_ladder(m: float, p0: float, cap: float) -> BootstrapLadder:
     reached_cap).  Requires m > 10/9 (fixed point must exceed 1), p0 >= 1,
     cap > p0.
     """
-    if m <= M_LINEAR:
+    if not m > M_LINEAR:
         raise ExponentDomainError(
             f"run_linear_ladder requires m > 10/9: fixed point 9(m-1) must "
             f"exceed 1, got m = {m}")
-    if p0 < 1.0:
+    if not p0 >= 1.0:
         raise ExponentDomainError(
             f"run_linear_ladder requires p0 >= 1, got {p0}")
-    if cap <= p0:
+    if not cap > p0:
         raise ExponentDomainError(
             f"run_linear_ladder requires cap > p0, got cap = {cap}, p0 = {p0}")
 
@@ -284,7 +286,7 @@ def run_psi_ladder(m: float, cap: float) -> BootstrapLadder:
     m > 9/8 and cap > 1.
     """
     gam = gamma_of(m)   # raises below 9/8
-    if cap <= 1.0:
+    if not cap > 1.0:
         raise ExponentDomainError(
             f"run_psi_ladder requires cap > 1, got {cap}")
 

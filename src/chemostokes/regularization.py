@@ -121,8 +121,6 @@ class PropertyResult:
 @dataclass(frozen=True)
 class PropertyReport:
     eps: float
-    m: float
-    k_d: float
     results: list[PropertyResult]
 
     @property
@@ -139,15 +137,18 @@ def _sample_points(eps: float, n_samples: int, rng) -> np.ndarray:
 
 
 def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
-                       m: float = 1.2, k_d: float = 1.0) -> list[PropertyReport]:
+                       m: float = 1.2) -> list[PropertyReport]:
     """Sampled verification of every contract of the eps-families.
 
     For each eps: bounds and branch values of chi/f/g, the squeeze
     d_base <= d_eps <= d_base + 2 eps with d_eps >= eps, finite-difference
     agreement of f' with chi and g' with s*chi, C^2 smoothness of chi at
     the breakpoints, monotone pointwise convergence f_eps -> identity as
-    eps decreases, and g_eps <= s^2/2.
+    eps decreases, and g_eps <= s^2/2.  The d_eps checks use k_D = 1 and
+    the exponent m, which must be > 1 as model.m must.
     """
+    if not m > 1.0:
+        raise ConfigError(f"run_property_suite: m must be > 1, got {m}")
     eps_list = list(eps_list)
     if not eps_list:
         raise ConfigError("run_property_suite: eps list must be nonempty")
@@ -171,8 +172,8 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
                 name=name, passed=worst <= tol, samples=s.size,
                 worst=worst, detail=detail))
 
-        db = d_base(s, m, k_d)
-        de = d_eps(s, eps, m, k_d)
+        db = d_base(s, m)
+        de = d_eps(s, eps, m)
         add("d_eps_squeeze",
             np.maximum.reduce([db - de, de - (db + 2.0 * eps), eps - de]),
             tol=1e-15 * (1.0 + float(np.max(db))))
@@ -225,7 +226,7 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
         f_half = f_eps(s, eps / 2.0)
         add("f_monotone_in_eps", f - f_half, tol=1e-12 / eps)
 
-        reports.append(PropertyReport(eps=eps, m=m, k_d=k_d, results=results))
+        reports.append(PropertyReport(eps=eps, results=results))
     return reports
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -371,10 +371,6 @@ class RunResult:
     run_dir: str | None
     max_residuals: dict = field(default_factory=dict)
 
-    @property
-    def all_checks_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def sample_times(t_final: float, sample_every: float | None):
     """Record times: 0, every sample_every, and t_final exactly once."""
@@ -411,28 +407,37 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
             raise ConfigError(
                 "resume: config does not match the manifest echo; "
                 "refusing to continue a different run")
-        samples = manifest["samples"]
-        if not samples:
-            raise ConfigError(f"resume: no samples in {run_dir}/manifest.json")
-        last = samples[-1]
+        # values are read by the names they are used under; `path` names
+        # the file being read for the error of a damaged directory
+        path = os.path.join(run_dir, "manifest.json")
         try:
-            t0, fields = load_snapshot(run_dir, last["files"], grid.dim)
+            samples = manifest["samples"]
+            if not isinstance(samples, list) or not samples:
+                raise ConfigError(f"resume: no samples in {path}")
+            last = samples[-1]
+            t0, snap = load_snapshot(run_dir, last["files"], grid.dim)
+            state = FieldState(
+                t=t0, n=snap["n"], c=snap["c"],
+                u=[snap[f"u{a}"] for a in range(grid.dim)], p=snap["p"])
+            tallies = RunningTallies(**{f.name: float.fromhex(
+                last["tallies"][f.name]) for f in fields(RunningTallies)})
+            resolved = {f.name: manifest["resolved_diagnostics"][f.name]
+                        for f in fields(ResolvedDiagnostics)}
+            diag = ResolvedDiagnostics(**{**resolved,
+                                          "lp": tuple(resolved["lp"])})
+            steps_taken = int(last["step_count"])
+            path = csv_path
             records = read_csv(csv_path)
         except FileNotFoundError as exc:
             raise ConfigError(f"resume: no such file {exc.filename}") from None
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ConfigError(f"resume: damaged {path}: "
+                              f"{type(exc).__name__}: {exc}") from None
         if len(records) < len(samples):
             raise ConfigError(f"resume: {csv_path} has {len(records)} rows "
                               f"for {len(samples)} samples")
         records = records[:len(samples)]
-        state = FieldState(
-            t=t0, n=fields["n"], c=fields["c"],
-            u=[fields[f"u{a}"] for a in range(grid.dim)], p=fields["p"])
-        tallies = RunningTallies(**{
-            name: float.fromhex(h) for name, h in last["tallies"].items()})
-        resolved = manifest["resolved_diagnostics"]
-        diag = ResolvedDiagnostics(**{**resolved,
-                                      "lp": tuple(resolved["lp"])})
-        steps_taken = int(last["step_count"])
         manifest["status"] = "running"
         manifest.pop("error", None)
     else:

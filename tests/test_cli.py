@@ -64,11 +64,6 @@ def test_parse_config_defaults():
     assert cfg.diagnostics.lp == (2.0, 4.0, "m")
     assert cfg.diagnostics.window == 1.0
     assert cfg.seed == 0 and cfg.output_dir is None
-    # k_d spelling is accepted too
-    alt = json.loads(json.dumps(TINY))
-    del alt["model"]["k_D"]
-    alt["model"]["k_d"] = 0.5
-    assert parse_config(alt).model.k_d == 0.5
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -165,6 +160,42 @@ def test_parse_config_bad_sources(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="top level"):
         parse_config(str(arr))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="not valid JSON.*utf-8"):
+        parse_config(str(binary))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_json_examples() -> list:
+    """The indented code blocks of README.md that hold a JSON object."""
+    blocks, block = [], []
+    for line in README.read_text(encoding="utf-8").splitlines() + [""]:
+        if line.startswith("    "):
+            block.append(line)
+        elif block:
+            blocks.append("\n".join(block))
+            block = []
+    examples = []
+    for text in blocks:
+        try:
+            examples.append(json.loads(text))
+        except ValueError:
+            pass
+    return examples
+
+
+def test_readme_examples_parse():
+    """The README's config example, and its sweep spec around it, pass
+    the parsers: the README cannot show a key the parser rejects."""
+    examples = readme_json_examples()
+    configs = [ex for ex in examples if "grid" in ex]
+    specs = [ex for ex in examples if "axis" in ex]
+    assert len(configs) == 1 and len(specs) == 1
+    parse_config(configs[0])
+    parse_sweep({**specs[0], "base_config": configs[0]})
 
 
 def test_three_dimensional_config_parses():
@@ -460,7 +491,10 @@ def test_cli_sweep_failed_member(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("path", [
     "config.extra", "grid.extra", "model.extra", "phi.extra", "ic.extra",
     "ic.perturb.extra", "time.sampel_every", "diagnostics.extra",
-    "output.extra", "ic.n0.amplitde", "ic.c0.extra", "ic.u0.extra"])
+    "output.extra", "ic.n0.amplitde", "ic.c0.extra", "ic.u0.extra",
+    # keys of values that are derived or spelled once
+    "model.k_d", "diagnostics.kappa", "diagnostics.c1_quasi",
+    "diagnostics.sigma_c"])
 def test_unknown_config_key_exits_1(tmp_path, capsys, path):
     """A misspelled key exits 1 naming its JSON path, before any output
     directory is made; it never runs silently with a default."""
@@ -563,6 +597,32 @@ def test_cli_exponents_table(capsys):
 def test_cli_psi_ladder_names_its_threshold(capsys):
     assert main(["exponents", "--m", "1.1", "--ladder", "psi"]) == 1
     assert "m > 9/8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(["exponents", "--m", "1.25", "--cap", "nan"],
+                 "argument --cap", id="cap-nan"),
+    pytest.param(["exponents", "--m", "1.25", "--cap", "inf"],
+                 "argument --cap", id="cap-inf"),
+    pytest.param(["exponents", "--m", "1.3", "--ladder", "linear",
+                  "--p0", "nan"], "argument --p0", id="p0-nan"),
+    pytest.param(["exponents", "--m", "nan", "--ladder", "linear"],
+                 "argument --m", id="m-nan"),
+    pytest.param(["regcheck", "--eps", "0.1", "--m", "nan"],
+                 "argument --m", id="regcheck-m-nan"),
+    pytest.param(["regcheck", "--eps", "0.1", "--m", "0.5"],
+                 "m must be > 1", id="regcheck-m-below-1"),
+    pytest.param(["regcheck", "--eps", "0.1,inf"], "argument --eps",
+                 id="regcheck-eps-inf"),
+])
+def test_cli_number_flags_exit_1(capsys, argv, fragment):
+    """Numbers given to exponents and regcheck are checked like config
+    numbers: a non-finite or out-of-range value is invalid input."""
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and fragment in cap.err
+    assert len(cap.err.splitlines()) == 1
 
 
 def test_cli_regcheck(capsys):

@@ -58,11 +58,9 @@ def test_resolve_defaults_and_lp():
     assert diag.sigma_c == 1e-12 * 3.0
     assert diag.lp == (1.2, 2.0, 4.0)
     assert diag.mean_n0 == pytest.approx(2.0, rel=1e-15)
-    assert diag.mass_c0 == pytest.approx(12.0, rel=1e-15)
-    # explicit values win; "m" duplicating a numeric entry is deduped
-    params2 = DiagnosticsParams(kappa=7.0, sigma_c=1e-9, lp=(1.2, "m"))
+    # "m" duplicating a numeric entry is deduped
+    params2 = DiagnosticsParams(lp=(1.2, "m"))
     diag2 = resolve_diagnostics(params2, MODEL, grid, n0, c0)
-    assert diag2.kappa == 7.0 and diag2.sigma_c == 1e-9
     assert diag2.lp == (1.2,)
 
 

@@ -255,3 +255,17 @@ def test_psi_ladder_domain():
         ex.run_psi_ladder(1.1, 1e6)
     with pytest.raises(ExponentDomainError):
         ex.run_psi_ladder(1.25, 0.5)
+
+
+def test_ladder_domains_reject_nan():
+    # every domain check is written so that NaN fails it
+    nan = math.nan
+    for args in ((nan, 1.0, 5.0), (1.3, nan, 5.0), (1.3, 1.0, nan)):
+        with pytest.raises(ExponentDomainError):
+            ex.run_linear_ladder(*args)
+    for args in ((nan, 1e6), (1.25, nan)):
+        with pytest.raises(ExponentDomainError):
+            ex.run_psi_ladder(*args)
+    for fun in (ex.threshold_certificate, ex.delta1):
+        with pytest.raises(ExponentDomainError):
+            fun(nan)

@@ -398,6 +398,19 @@ def drop_samples(d):
     write_manifest(d, manifest)
 
 
+def edit_manifest(change):
+    """A damage that applies `change` to the manifest dict in place."""
+    def damage(d):
+        manifest = load_manifest(d)
+        change(manifest)
+        write_manifest(d, manifest)
+    return damage
+
+
+def empty_csv(d):
+    open(os.path.join(d, "diagnostics.csv"), "w").close()
+
+
 def directory_bytes(d):
     out = {}
     for root, _, names in os.walk(d):
@@ -417,6 +430,19 @@ def directory_bytes(d):
     pytest.param(lambda d: os.remove(os.path.join(
         d, "snapshots", "sample_000004_n.bin")),
         "no such file .*sample_000004_n.bin", id="no-last-snapshot"),
+    pytest.param(empty_csv, "damaged .*diagnostics.csv", id="empty-csv"),
+    pytest.param(edit_manifest(lambda m: m["samples"][-1].pop("tallies")),
+                 "damaged .*manifest.json: KeyError: 'tallies'",
+                 id="no-tallies"),
+    pytest.param(edit_manifest(lambda m: m.pop("resolved_diagnostics")),
+                 "damaged .*manifest.json: KeyError: 'resolved_diagnostics'",
+                 id="no-resolved-diagnostics"),
+    pytest.param(edit_manifest(lambda m: m["samples"][-1]["files"].pop("u1")),
+                 "damaged .*manifest.json: KeyError: 'u1'",
+                 id="no-field-entry"),
+    pytest.param(edit_manifest(lambda m: m.update(
+        samples={str(s["index"]): s for s in m["samples"]})),
+        "no samples in .*manifest.json", id="samples-not-a-list"),
 ])
 def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
     """The restart index comes from the manifest: a run directory whose
@@ -430,6 +456,39 @@ def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
     with pytest.raises(ConfigError, match=fragment):
         run(cfg, resume=True)
     assert directory_bytes(cfg.output_dir) == before
+
+
+def test_resume_reads_the_previous_manifest_format(tmp_path):
+    """Resume reads resolved_diagnostics by field name: a manifest written
+    with the retired entries c1_quasi and mass_c0 resumes bit for bit."""
+    cfg = make_cfg(tmp_path, grid={"cells": [8, 8], "extent": [2.0, 2.0]},
+                   **{"time.t_final": 0.004, "time.sample_every": 0.001})
+    result = run(cfg)
+    manifest = load_manifest(cfg.output_dir)
+    resolved = manifest["resolved_diagnostics"]
+    assert list(resolved) == ["kappa", "sigma_c", "lp", "window", "mean_n0"]
+    manifest["resolved_diagnostics"] = {
+        "kappa": resolved["kappa"], "c1_quasi": None,
+        "sigma_c": resolved["sigma_c"], "lp": resolved["lp"],
+        "window": resolved["window"], "mean_n0": resolved["mean_n0"],
+        "mass_c0": result.records[0].c_mass}
+    write_manifest(cfg.output_dir, manifest)
+    assert_resume_bit_exact(cfg)
+
+
+def test_vanishing_attractant_has_finite_energy(tmp_path):
+    """c0 = 0 is a valid input: the gradient-energy floor stays positive,
+    so the energies are finite (0, not 0/0) and energy_boundedness holds."""
+    ic = copy.deepcopy(BASE["ic"])
+    ic["c0"] = {"preset": "constant", "value": 0.0}
+    cfg = make_cfg(grid={"cells": [8, 8], "extent": [2.0, 2.0]}, ic=ic,
+                   **{"time.t_final": 0.004, "time.sample_every": 0.001})
+    result = run(cfg)
+    for r in result.records:
+        assert r.grad_c_energy == 0.0 and r.dissipation_c == 0.0
+        assert math.isfinite(r.e_total)
+    by_name = {c.name: c for c in result.checks}
+    assert by_name["energy_boundedness"].passed
 
 
 def test_resume_rejects_changed_config(tmp_path):
