@@ -5,6 +5,9 @@ nothing feeds back into the solver.  Conventions:
 
   * gradients are face-based; |grad f|^2 per cell is the face-average, so
     cell sums equal face sums exactly (see grid.grad_squared_cells),
+  * the velocity dissipation sum |grad u|^2 * vol is taken as
+    -<u, Lap_h u> * vol with the viscous solve's no-slip operator
+    (spectral.face_laplacian), equal to it by summation by parts,
   * running integrals are right-endpoint Riemann sums accumulated every
     step (dt * integrand at the post-step state), independent of any
     bookkeeping inside the steppers,
@@ -28,9 +31,10 @@ import numpy as np
 
 from .config import float_name
 from .errors import NumericalError
-from .grid import Grid, divergence, grad_squared_cells, \
-    velocity_dirichlet_energy, velocity_magnitude_squared_cells
+from .grid import Grid, divergence, grad_squared_cells, interior, \
+    velocity_magnitude_squared_cells
 from .regularization import f_eps
+from .spectral import face_laplacian
 
 
 @dataclass
@@ -90,7 +94,7 @@ class DiagnosticsRecord:
     e_total: float
     dissipation_n: float         # (2/m)^2 sum |grad n^(m/2)|^2 * vol
     dissipation_c: float         # sum |grad c|^4/(c+sigma)^3 * vol
-    dissipation_u: float         # sum |grad u|^2 * vol (no-slip form)
+    dissipation_u: float         # -<u, Lap_h u> * vol (no-slip walls)
     y_quasi: float
     decay_gap_n: float           # || n - mean_n0 ||_L2
     decay_gap_c: float           # max c + max |grad c|
@@ -120,14 +124,19 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
 
     gc2 = grad_squared_cells(grid, c)
     c_safe = c + diag.sigma_c
-    grad_c_energy = 0.5 * float(np.sum(gc2 / c_safe)) * vol
+    q = gc2 / c_safe
+    grad_c_energy = 0.5 * float(np.sum(q)) * vol
     kinetic = diag.kappa * float(
         np.sum(velocity_magnitude_squared_cells(grid, u))) * vol
 
     gn2 = grad_squared_cells(grid, np.power(n, 0.5 * model.m))
     dissipation_n = (2.0 / model.m) ** 2 * float(np.sum(gn2)) * vol
-    dissipation_c = float(np.sum(gc2 * gc2 / c_safe ** 3)) * vol
-    dissipation_u = velocity_dirichlet_energy(grid, u)
+    # as q^2 / c_safe: gc2^2 / c_safe^3 is 0/0 when c is tiny
+    dissipation_c = float(np.sum(q * q / c_safe)) * vol
+    # negated term by term, so that u = 0 gives +0.0
+    dissipation_u = sum(
+        -float(np.sum(interior(ua, a) * face_laplacian(grid, ua, a)))
+        for a, ua in enumerate(u)) * vol
 
     c1 = tallies.sup_max_n
     dev = n - diag.mean_n0

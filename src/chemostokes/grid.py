@@ -9,6 +9,8 @@ zero; all operators are written so that
     sum_cells divergence(F) * vol  telescopes to the boundary flux = 0,
 
 which is what makes mass conservation exact and the projection compatible.
+The no-slip wall along a component's transverse axes (ghost -u half a
+cell outside) is defined once, in spectral.face_laplacian.
 Arrays are indexed [x, y(, z)]; axis 0 is x.
 """
 
@@ -139,29 +141,3 @@ def velocity_magnitude_squared_cells(grid: Grid, faces) -> np.ndarray:
     for a in range(grid.dim):
         out += face_avg(faces[a] ** 2, a)
     return out
-
-
-def velocity_dirichlet_energy(grid: Grid, faces) -> float:
-    """sum over components of the no-slip Dirichlet energy |grad u_a|^2.
-
-    Along the component's own axis the boundary faces are in the array
-    (value 0), so plain differences cover the walls.  Along transverse
-    axes the wall sits half a cell outside the first/last sample; the
-    ghost value is the reflection -u, contributing 2 u^2 / h^2 per wall
-    sample (the factor matching the DST-II operator used for the viscous
-    solve).
-    """
-    total = 0.0
-    for a in range(grid.dim):
-        ua = faces[a]
-        for b in range(grid.dim):
-            h = grid.h[b]
-            d = np.diff(ua, axis=b) / h
-            contrib = float(np.sum(d * d))
-            if b != a:
-                for end in (0, -1):
-                    wall = axslice(ua, b, end)
-                    contrib += 2.0 * float(np.sum(wall * wall)) / (h * h)
-            total += contrib
-    # interior faces tile the volume like cells do; weight with cell volume
-    return total * grid.cell_volume

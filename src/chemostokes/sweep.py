@@ -114,16 +114,15 @@ def _summary(run_dir: str, error: str = "") -> dict:
             "checks_passed": ""}
 
 
-def run_one(task):
-    """Execute one sweep member, in the calling process or a spawn worker.
-    Must stay a module-level function: the spawn start method pickles it
-    by reference, and run_sweep looks it up by name at each call."""
-    cfg_dict, run_dir = task
+def run_one(cfg):
+    """Run one member, in the calling process or a spawn worker.  Must
+    stay a module-level function: the spawn start method pickles it by
+    reference, and run_sweep looks it up by name at each call."""
     try:
-        result = run(parse_config(with_overrides(cfg_dict, run_dir)))
+        result = run(cfg)
     except ChemoStokesError as exc:
-        return _summary(run_dir, str(exc))
-    summary = _summary(run_dir)
+        return _summary(cfg.output_dir, str(exc))
+    summary = _summary(cfg.output_dir)
     first, last = result.records[0], result.records[-1]
     summary["steps"] = result.steps_taken
     summary["mass_drift_rel"] = abs(last.mass - first.mass) / abs(first.mass)
@@ -157,8 +156,8 @@ def _final_density(run_dir: str) -> np.ndarray:
     return arr
 
 
-def _run_members(tasks, nworkers: int) -> list:
-    """Summaries of all tasks, in task order, with nworkers members at
+def _run_members(configs, nworkers: int) -> list:
+    """Summaries of all member configs, in order, with nworkers members at
     once: the calling process and nworkers - 1 spawn workers.
 
     One pending queue feeds both.  The pool is fed from its done
@@ -167,9 +166,9 @@ def _run_members(tasks, nworkers: int) -> list:
     one.  A worker that dies breaks the pool: its members are reported
     failed, and the caller runs every member the pool did not take.
     """
-    summaries = [None] * len(tasks)
-    pending = deque(range(len(tasks)))
-    queued = []                     # (task index, Future)
+    summaries = [None] * len(configs)
+    pending = deque(range(len(configs)))
+    queued = []                     # (member index, Future)
     lock = threading.Lock()
 
     def take():
@@ -184,7 +183,7 @@ def _run_members(tasks, nworkers: int) -> list:
                 return
             i = pending[0]
             try:
-                future = pool.submit(run_one, tasks[i])
+                future = pool.submit(run_one, configs[i])
             except BrokenProcessPool:
                 return              # the member stays for the caller
             pending.popleft()
@@ -198,14 +197,14 @@ def _run_members(tasks, nworkers: int) -> list:
         for _ in range(nworkers - 1):
             feed()
         while (i := take()) is not None:
-            summaries[i] = run_one(tasks[i])
+            summaries[i] = run_one(configs[i])
         for i, future in queued:
             try:
                 summaries[i] = future.result()
             except BrokenProcessPool as exc:
                 summaries[i] = _summary(
-                    tasks[i][1], f"the spawn worker running this member "
-                                 f"died: {exc}")
+                    configs[i].output_dir,
+                    f"the spawn worker running this member died: {exc}")
     finally:
         with lock:                  # a failing caller stops the feeding
             pending.clear()
@@ -226,14 +225,14 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
     """
     nworkers = spec.parallel_runs if workers is None else \
         _members_at_once(workers, "workers (--threads)")
-    base = with_overrides(spec.base_config, seed=seed)
-    base_cfg = parse_config(base)   # a bad seed exits before any output
+    # every member is parsed before any output: a bad value or seed exits
+    configs = [parse_config(with_overrides(
+        apply_override(spec.base_config, spec.axis, value),
+        os.path.join(out_root, _value_tag(spec.axis, value)), seed))
+        for value in spec.values]
     os.makedirs(out_root, exist_ok=True)
-    tasks = [(apply_override(base, spec.axis, value),
-              os.path.join(out_root, _value_tag(spec.axis, value)))
-             for value in spec.values]
 
-    summaries = _run_members(tasks, min(nworkers, len(tasks)))
+    summaries = _run_members(configs, min(nworkers, len(configs)))
 
     for value, summary in zip(spec.values, summaries):
         summary["axis"] = spec.axis
@@ -243,7 +242,8 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
 
     if spec.axis == "eps":
         # an eps sweep keeps the base grid in every member
-        cell_vol = Grid(base_cfg.grid_cells, base_cfg.grid_extent).cell_volume
+        cell_vol = Grid(configs[0].grid_cells,
+                        configs[0].grid_extent).cell_volume
         prev = None
         for summary in summaries:
             summary["l1_distance_to_prev"] = ""

@@ -464,6 +464,23 @@ def test_cli_probes_exit_1_without_output(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("eps", [0.5, 2.0]), ("m", [1.2, 0.9]), ("m", [1.3, 1.0])])
+def test_cli_sweep_bad_value_exits_1_before_any_output(tmp_path, capsys,
+                                                       axis, values):
+    """A swept value that the config parser rejects is bad input: exit 1
+    naming the key, no output root and no member run, even when another
+    value of the sweep is valid."""
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": axis, "values": values, "base_config": dict(TINY)})
+    out = tmp_path / "sw"
+    assert main(["--output-dir", str(out), "--threads", "1", "sweep",
+                 "--spec", spec_path]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.startswith(f"error: model.{axis}: must") and not cap.out
+    assert not out.exists()
+
+
 def test_cli_sweep_failed_member(tmp_path, capsys, monkeypatch):
     """A member that fails is reported with its error, breaks the L1 chain
     for the member after it, and makes the sweep exit 2."""

@@ -3,12 +3,13 @@ running tallies, the verification checks on synthetic record lists, and
 the repr-exact CSV round trip.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chemostokes.config import DiagnosticsParams, ModelParams
+from chemostokes.config import DiagnosticsParams, ModelParams, parse_config
 from chemostokes.diagnostics import (DiagnosticsRecord, RunningTallies,
                                      check_c_l2_inequality,
                                      check_c_mass_identity,
@@ -19,9 +20,9 @@ from chemostokes.diagnostics import (DiagnosticsRecord, RunningTallies,
                                      check_quasi_energy, csv_header,
                                      evaluate, read_csv, resolve_diagnostics,
                                      standard_checks, write_csv, append_csv)
-from chemostokes.grid import Grid
+from chemostokes.grid import Grid, interior
 from chemostokes.regularization import f_eps
-from chemostokes.solver import FieldState
+from chemostokes.solver import FieldState, run
 
 
 MODEL = ModelParams(m=1.2, k_d=1.0, eps=0.1, phi_gradient=(0.0, -1.0))
@@ -114,6 +115,54 @@ def test_nan_cell_fails_entropy_floor():
     records.append(evaluate(grid, MODEL, diag, state, RunningTallies()))
     assert np.isnan(records[-1].entropy)
     assert check_entropy_floor(records, grid.volume).passed is False
+
+
+@pytest.mark.parametrize("cells, extent, axis", [
+    ((8, 12), (2.0, 3.0), 0), ((8, 12), (2.0, 3.0), 1),
+    ((6, 5, 4), (1.0, 1.5, 0.8), 0), ((6, 5, 4), (1.0, 1.5, 0.8), 2)])
+def test_dissipation_u_of_a_discrete_eigenmode(cells, extent, axis):
+    """One velocity component set to an eigenmode of the no-slip face
+    operator: sin(pi k i/N) on the interior faces of its own axis,
+    sin(pi k (j + 1/2)/N) along the others, so -Lap_h u = lam u."""
+    grid = Grid(cells, extent)
+    state = uniform_state(grid, 1.0, 1.0)
+    modes = [1 + b for b in range(grid.dim)]
+    profiles = [np.sin(np.pi * k * (np.arange(1, n) if b == axis
+                                     else np.arange(n) + 0.5) / n)
+                for b, (k, n) in enumerate(zip(modes, cells))]
+    mode = np.prod(np.meshgrid(*profiles, indexing="ij"), axis=0)
+    interior(state.u[axis], axis)[...] = mode
+    lam = sum(4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2 / (h * h)
+              for k, n, h in zip(modes, cells, grid.h))
+    diag = resolve_diagnostics(DiagnosticsParams(), MODEL, grid,
+                               state.n, state.c)
+    r = evaluate(grid, MODEL, diag, state, RunningTallies())
+    expect = lam * float(np.sum(mode * mode)) * grid.cell_volume
+    assert r.dissipation_u == pytest.approx(expect, rel=1e-12)
+
+    # a motionless fluid dissipates +0.0, never -0.0
+    state.u = grid.zero_velocity()
+    r0 = evaluate(grid, MODEL, diag, state, RunningTallies())
+    assert r0.dissipation_u == 0.0
+    assert math.copysign(1.0, r0.dissipation_u) == 1.0
+
+
+def test_dissipation_c_finite_for_a_tiny_attractant():
+    """|grad c|^4 / (c + sigma)^3 must not underflow to 0/0 when c is
+    of order 1e-120 (sigma = 1e-12 max c0 is tinier still)."""
+    cfg = parse_config({
+        "grid": {"cells": [12, 12], "extent": [1.0, 1.0]},
+        "model": {"m": 1.2, "k_D": 1.0, "eps": 0.2},
+        "time": {"t_final": 0.004, "dt_max": 1e-3, "sample_every": 0.002},
+        "ic": {"n0": {"preset": "gaussian", "amplitude": 1.0,
+                      "width": 0.2, "floor": 0.2},
+               "c0": {"preset": "gaussian", "amplitude": 1e-120,
+                      "width": 0.2}},
+    })
+    values = [r.dissipation_c for r in run(cfg).records]
+    assert len(values) == 3
+    assert all(np.isfinite(v) and v >= 0.0 for v in values), values
+    assert values[0] > 0.0
 
 
 def test_tallies_right_endpoint_arithmetic():
