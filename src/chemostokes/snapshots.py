@@ -38,12 +38,13 @@ def write_field(path: str, arr: np.ndarray, t: float) -> str:
     """Write one field; returns the sha256 hex digest of the file."""
     shape3 = tuple(arr.shape) + (1,) * (3 - arr.ndim)
     header = _HEADER.pack(MAGIC, VERSION, arr.ndim, *shape3, float(t))
-    payload = np.ascontiguousarray(
-        arr.flatten(order="F"), dtype="<f8").tobytes()
-    blob = header + payload
+    payload = np.asarray(arr, dtype="<f8").tobytes(order="F")
+    digest = hashlib.sha256(header)
+    digest.update(payload)
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return hashlib.sha256(blob).hexdigest()
+        fh.write(header)
+        fh.write(payload)
+    return digest.hexdigest()
 
 
 def read_field(path: str, expect_sha256: str | None = None):

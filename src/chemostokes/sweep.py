@@ -8,15 +8,16 @@ A sweep spec is JSON:
 
 Each value gets its own run directory under the sweep output root.
 parallel_runs = K runs K members at once: the calling process is one of
-them and K - 1 spawn workers are the others.  Members are handed out one
-at a time, in value order, to whichever of them is free, so the caller
-works while the spawn workers boot.  A member depends only on its own
-config, so results are independent of K.  The summary CSV orders rows by
-the given value order and, for eps sweeps, records the L1 distance
-between final density fields of consecutive runs (the
-regularization-convergence monitor).  For m sweeps every run directory
-gets an exponents_certificate.json with whatever part of the exponent
-algebra is defined at that m.
+them and K - 1 workers forked from it are the others, so K > 1 needs a
+POSIX fork.  A forked worker starts with the package imported and every
+member parsed, and a driver script needs no __main__ guard.  Members are
+handed out one at a time, in value order, to whichever of them is free.
+A member depends only on its own config, so results are independent of
+K.  The summary CSV orders rows by the given value order and, for eps
+sweeps, records the L1 distance between final density fields of
+consecutive runs (the regularization-convergence monitor).  For m
+sweeps every run directory gets an exponents_certificate.json with
+whatever part of the exponent algebra is defined at that m.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _summary(run_dir: str, error: str = "") -> dict:
 
 
 def run_one(cfg):
-    """Run one member, in the calling process or a spawn worker.  Must
-    stay a module-level function: the spawn start method pickles it by
-    reference, and run_sweep looks it up by name at each call."""
+    """Run one member, in the calling process or a forked worker.  Must
+    stay a module-level function: the pool pickles it by reference, and
+    run_sweep looks it up by name at each call."""
     try:
         result = run(cfg)
     except ChemoStokesError as exc:
@@ -158,13 +159,19 @@ def _final_density(run_dir: str) -> np.ndarray:
 
 def _run_members(configs, nworkers: int) -> list:
     """Summaries of all member configs, in order, with nworkers members at
-    once: the calling process and nworkers - 1 spawn workers.
+    once: the calling process and nworkers - 1 forked workers.
+
+    The pool forks all its workers at the first submit, before it starts
+    its manager thread, so the caller forks with no executor thread alive.
+    The only other threads are OpenBLAS's idle pools, which OpenBLAS
+    readies for fork; Python 3.12 and later may still emit a (hidden by
+    default) DeprecationWarning about forking them.
 
     One pending queue feeds both.  The pool is fed from its done
-    callbacks, which run on the executor's manager thread, so a spawn
-    worker gets its next member even while the caller is busy running
-    one.  A worker that dies breaks the pool: its members are reported
-    failed, and the caller runs every member the pool did not take.
+    callbacks, which run on the manager thread, so a worker gets its next
+    member even while the caller is busy running one.  A worker that dies
+    breaks the pool: its members are reported failed, and the caller runs
+    every member the pool did not take.
     """
     summaries = [None] * len(configs)
     pending = deque(range(len(configs)))
@@ -191,7 +198,7 @@ def _run_members(configs, nworkers: int) -> list:
         future.add_done_callback(feed)
 
     pool = ProcessPoolExecutor(nworkers - 1,
-                               mp_context=mp.get_context("spawn")) \
+                               mp_context=mp.get_context("fork")) \
         if nworkers > 1 else None
     try:
         for _ in range(nworkers - 1):
@@ -204,14 +211,14 @@ def _run_members(configs, nworkers: int) -> list:
             except BrokenProcessPool as exc:
                 summaries[i] = _summary(
                     configs[i].output_dir,
-                    f"the spawn worker running this member died: {exc}")
+                    f"the worker process running this member died: {exc}")
     finally:
         with lock:                  # a failing caller stops the feeding
             pending.clear()
         if pool is not None:
-            # normally every member is done here: the idle workers exit
-            # without the caller waiting for their interpreter teardown
-            pool.shutdown(wait=False, cancel_futures=True)
+            # no executor thread or worker outlives the sweep, so a later
+            # sweep in this process never forks beside a live thread
+            pool.shutdown(wait=True, cancel_futures=True)
     return summaries
 
 

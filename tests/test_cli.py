@@ -569,15 +569,16 @@ def test_cli_sweep_rejects_nonpositive_threads(tmp_path, capsys, threads):
     assert not out.exists()
 
 
-def test_dead_spawn_worker_fails_its_member(tmp_path):
-    """A driver script without a __main__ guard: every spawn worker dies
-    while importing it.  The sweep must still end, run the other members
-    in the calling process and report the lost member as failed."""
-    spec = {"axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY)}
+def _sweep_driver_rows(tmp_path, prelude=""):
+    """Run a three-member sweep on 2 workers from a driver script without
+    a __main__ guard; returns its [status, error] rows."""
+    spec = {"axis": "eps", "values": [0.2, 0.1, 0.05],
+            "base_config": dict(TINY)}
     script = tmp_path / "driver.py"
     script.write_text(
         "import json\n"
         "from chemostokes.sweep import parse_sweep, run_sweep\n"
+        + prelude +
         f"spec = parse_sweep({spec!r})\n"
         f"summaries, _ = run_sweep(spec, {str(tmp_path / 'sw')!r}, "
         "workers=2)\n"
@@ -590,10 +591,32 @@ def test_dead_spawn_worker_fails_its_member(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout.splitlines()[-1])
-    assert len(rows) == 2
-    assert ["complete", ""] in rows
+    assert len(rows) == 3
+    return rows
+
+
+def test_sweep_driver_needs_no_main_guard(tmp_path):
+    """Workers are forked from the driver, not booted afresh, so they
+    never re-import a driver script that has no __main__ guard."""
+    assert _sweep_driver_rows(tmp_path) == [["complete", ""]] * 3
+
+
+def test_dead_worker_fails_its_member(tmp_path):
+    """Every worker dies at its first member.  The sweep must still end,
+    run the other members in the calling process and report the lost
+    member as failed."""
+    rows = _sweep_driver_rows(tmp_path, (
+        "import os\n"
+        "import chemostokes.sweep\n"
+        "caller, run = os.getpid(), chemostokes.sweep.run\n"
+        "def dying_run(cfg):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    return run(cfg)\n"
+        "chemostokes.sweep.run = dying_run\n"))
+    assert rows.count(["complete", ""]) == 2
     failed = [error for status, error in rows if status == "failed"]
-    assert len(failed) == 1 and "spawn worker" in failed[0] \
+    assert len(failed) == 1 and "worker process" in failed[0] \
         and "died" in failed[0]
 
 
