@@ -2,7 +2,7 @@
 
 The nonlinear diffusion exponent m > 1 controls how far an L^p bound on the
 cell density can be upgraded.  Everything here is scalar bookkeeping around
-one quadratic and two iteration schemes:
+two quadratics and two iteration schemes:
 
   rho(p)   = 20 p^2 - (33 - 12 m) p - 18 (m - 1)
              sign certificate: rho > 0 marks exponents p where the coupled
@@ -15,6 +15,11 @@ one quadratic and two iteration schemes:
              q = (5p + 3m - 3)/3 (the space-time exponent), which is how
              each round is certified admissible.  The fixed-point gap
              psi(9(m-1)) - 9(m-1) = 16 (8m - 9)(m - 1) gives m > 9/8.
+
+  Gamma(m) = 1 + 8 (8m - 9)/9, halfway between 1 and psi(p)/p at the
+             pivot.  psi(p)/p >= Gamma is the quadratic
+             10 p^2 + (21 - 28m) p + (m-1)(18m - 27) >= 0, whose larger
+             root fixes the margin delta2 below the pivot.
 
   linear ladder  p_{k+1} = (2/3) p_k + 3(m-1), the q = 2 bootstrap round;
              increases to its fixed point 9(m-1) whenever m > 10/9.
@@ -29,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ExponentDomainError
 
@@ -162,7 +165,8 @@ def gamma_of(m: float) -> float:
     """Geometric growth ratio Gamma = 1 + (psi(9(m-1))/(9(m-1)) - 1)/2.
 
     Defined for m > 9/8, where the normalized map psi(p)/p exceeds 1 at the
-    pivot; Gamma sits halfway between 1 and that value.
+    pivot; Gamma sits halfway between 1 and that value.  Raises where
+    Gamma is not finite: psi(9(m-1)) overflows a float from m ~ 4e152.
     """
     cert = threshold_certificate(m)
     if not cert.above_9_8:
@@ -170,34 +174,26 @@ def gamma_of(m: float) -> float:
             f"gamma_of requires m > 9/8: fixed-point gap 16(8m-9)(m-1) must "
             f"be positive, got m = {m} (gap = {cert.fixed_point_gap:g})")
     piv = pivot(m)
-    return 1.0 + (psi(piv, m) / piv - 1.0) / 2.0
+    gam = 1.0 + (psi(piv, m) / piv - 1.0) / 2.0
+    if not math.isfinite(gam):
+        raise ExponentDomainError(
+            f"gamma_of: psi(9(m-1)) overflows a float at m = {m}, so Gamma "
+            f"is not finite")
+    return gam
 
 
 def delta2(m: float) -> float:
-    """Largest delta in (0, 9(m-1) - 1] such that psi(p)/p >= Gamma(m) on a
-    1000-point scan of (9(m-1) - delta, 9(m-1)], located by bisection to
-    1e-9.  Requires m > 9/8 (so that Gamma is defined and the interval is
-    nonempty).
+    """Distance delta2 = 9(m-1) - r_plus from the pivot down to the larger
+    root of 10 p^2 + (21 - 28m) p + (m-1)(18m - 27), which is
+    9 p (psi(p)/p - Gamma(m)).  Exact on the closed interval: psi(p)/p >=
+    Gamma(m) on all of [9(m-1) - delta2, 9(m-1)] and fails just left of
+    it.  Requires m > 9/8 (so that Gamma is defined); there the
+    discriminant is at least 144 and r_plus >= 9/8.
     """
-    gam = gamma_of(m)   # raises below 9/8
-    piv = pivot(m)
-    delta_max = piv - 1.0
-
-    def feasible(delta: float) -> bool:
-        # 1000 points, pivot included, left endpoint excluded
-        p = piv - delta * (np.arange(1000) / 1000.0)
-        return bool(np.all(psi(p, m) / p >= gam))
-
-    if feasible(delta_max):
-        return delta_max
-    lo, hi = 0.0, delta_max
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    gamma_of(m)   # raises below 9/8 and where Gamma overflows
+    r_plus = (28.0 * m - 21.0
+              + math.sqrt(64.0 * m * m + 624.0 * m - 639.0)) / 20.0
+    return pivot(m) - r_plus
 
 
 # ============================================================
@@ -228,10 +224,6 @@ class BootstrapLadder:
     cap: float
     entries: list[LadderEntry]
     terminated_reason: str     # 'converged' | 'reached_cap' | 'inadmissible'
-
-    @property
-    def final_p(self) -> float:
-        return self.entries[-1].p
 
 
 def run_linear_ladder(m: float, p0: float, cap: float) -> BootstrapLadder:

@@ -43,6 +43,7 @@ from .snapshots import load_manifest, read_field, write_json
 from .solver import init_state, run
 
 _AXES = ("m", "eps", "grid")
+_LADDER_CAP = 1e6   # cap of both ladders in an m-sweep's certificates
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,16 @@ def run_one(cfg):
     return summary
 
 
-def write_exponent_certificate(run_dir: str, m: float, cap: float = 1e6):
+def write_exponent_certificate(run_dir: str, m: float):
     """Attach whatever exponent evidence is defined at this m."""
     cert: dict = {"m": m, "threshold": asdict(expo.threshold_certificate(m))}
     try:
-        cert["linear_ladder"] = asdict(expo.run_linear_ladder(m, 1.0, cap))
+        cert["linear_ladder"] = asdict(
+            expo.run_linear_ladder(m, 1.0, _LADDER_CAP))
     except ConfigError as exc:
         cert["linear_ladder"] = {"undefined": str(exc)}
     try:
-        cert["psi_ladder"] = asdict(expo.run_psi_ladder(m, cap))
+        cert["psi_ladder"] = asdict(expo.run_psi_ladder(m, _LADDER_CAP))
     except ConfigError as exc:
         cert["psi_ladder"] = {"undefined": str(exc)}
     write_json(os.path.join(run_dir, "exponents_certificate.json"), cert)

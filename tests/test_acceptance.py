@@ -128,7 +128,7 @@ def test_criterion_2_ladders():
     t0 = time.perf_counter()
     lad = run_psi_ladder(1.25, cap=1e6)
     assert lad.terminated_reason == "reached_cap"
-    assert lad.final_p >= 1e6
+    assert lad.entries[-1].p >= 1e6
     steps = lad.entries[-1].k
     assert steps <= 40, f"needed {steps} steps to escape the cap"
     gamma = gamma_of(1.25)
@@ -139,7 +139,7 @@ def test_criterion_2_ladders():
     lin = run_linear_ladder(4.0 / 3.0, 1.0, cap=1e6)
     assert lin.terminated_reason == "converged"
     assert lin.entries[-1].k <= 100
-    assert abs(lin.final_p - 3.0) < 1e-10
+    assert abs(lin.entries[-1].p - 3.0) < 1e-10
     announce(2, "bootstrap ladders", t0, 1.0)
 
 

@@ -8,6 +8,7 @@ launcher, runs by name from this checkout without an install.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -637,6 +638,31 @@ def test_cli_exponents_table(capsys):
 def test_cli_psi_ladder_names_its_threshold(capsys):
     assert main(["exponents", "--m", "1.1", "--ladder", "psi"]) == 1
     assert "m > 9/8" in capsys.readouterr().err
+
+
+def test_cli_psi_ladder_at_huge_m():
+    """The psi ladder ends with finite exponents wherever Gamma is a
+    finite float, and exits 1 naming m where it overflows.  Run in a
+    subprocess so that a ladder that never ends fails by timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def exponents(m):
+        return subprocess.run(
+            [sys.executable, "-m", "chemostokes.cli", "exponents",
+             "--m", m, "--ladder", "psi"],
+            capture_output=True, text=True, timeout=60, env=env)
+
+    for m in ("2e6", "1e100"):
+        proc = exponents(m)
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.splitlines()[1:]
+        assert rows and all(math.isfinite(float(r.split(",")[1]))
+                            for r in rows)
+    proc = exponents("1e160")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "m = 1e+160" in proc.stderr
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -125,28 +125,25 @@ def test_gamma_frozen_values():
 
 
 def test_delta2_closed_form_m125():
-    # the 1000-point scan excludes the left endpoint, so the feasibility
-    # boundary is (pivot - p*)/0.999 where p* solves psi(p)/p = Gamma:
-    # 10 p^2 - 14 p - 1.125 = 0 at m = 1.25
+    # psi(p)/p = Gamma is 10 p^2 - 14 p - 1.125 = 0 at m = 1.25
     p_star = (14.0 + math.sqrt(241.0)) / 20.0
-    expected = (2.25 - p_star) / 0.999
-    assert ex.delta2(1.25) == pytest.approx(expected, abs=2e-9)
+    assert ex.delta2(1.25) == pytest.approx(2.25 - p_star, rel=1e-14)
+    # at m = 1.5 the root is 2.1 = 4.5 - 2.4
+    assert ex.delta2(1.5) == 2.4
 
 
 def test_delta2_operational_contract():
-    for m in (1.2, 1.25, 1.4, 2.0, 3.0):
+    """psi(p)/p >= Gamma holds on the whole closed interval [pivot - delta2,
+    pivot] and fails just to the left of it."""
+    for m in (1.13, 1.2, 1.25, 1.5, 2.0, 3.0, 10.0, 1e6):
         d2 = ex.delta2(m)
         piv = 9.0 * (m - 1.0)
         gam = ex.gamma_of(m)
-        assert 0.0 < d2 <= piv - 1.0
-
-        def scan_ok(delta):
-            p = piv - delta * (np.arange(1000) / 1000.0)
-            return bool(np.all(ex.psi(p, m) / p >= gam))
-
-        assert scan_ok(d2)
-        if d2 < piv - 1.0 - 1e-9:
-            assert not scan_ok(d2 + 1e-6)
+        assert 0.0 < d2 < piv - 1.0
+        p = np.linspace(piv - d2, piv, 10_001)
+        assert np.all(ex.psi(p, m) / p >= gam * (1.0 - 1e-12))
+        left = piv - d2 - 1e-6 * piv
+        assert ex.psi(left, m) / left < gam
 
 
 # ---------- admissibility ----------
@@ -179,7 +176,7 @@ def test_linear_ladder_first_entries_and_limit():
     # reaches the fixed point 3 to 1e-10 well within 100 steps
     hit = [e.k for e in lad.entries if abs(e.p - 3.0) < 1e-10]
     assert hit and min(hit) <= 100
-    assert abs(lad.final_p - 3.0) < 1e-12
+    assert abs(lad.entries[-1].p - 3.0) < 1e-12
 
 
 def test_linear_ladder_certificates_bit_exact():
@@ -200,13 +197,13 @@ def test_linear_ladder_random_limits():
         p0 = rng.uniform(1.0, max(1.0 + 1e-6, piv * 0.9))
         lad = ex.run_linear_ladder(m, p0, piv + 10.0)
         assert lad.terminated_reason == "converged"
-        assert abs(lad.final_p - piv) < 1e-12
+        assert abs(lad.entries[-1].p - piv) < 1e-12
 
 
 def test_linear_ladder_cap_and_domain():
     lad = ex.run_linear_ladder(2.0, 1.0, 3.0)   # fixed point 9 above cap
     assert lad.terminated_reason == "reached_cap"
-    assert lad.final_p > 3.0
+    assert lad.entries[-1].p > 3.0
     with pytest.raises(ExponentDomainError):
         ex.run_linear_ladder(10.0 / 9.0, 1.0, 5.0)
     with pytest.raises(ExponentDomainError):
@@ -220,7 +217,7 @@ def test_linear_ladder_cap_and_domain():
 def test_psi_ladder_m125_escape():
     lad = ex.run_psi_ladder(1.25, 1e6)
     assert lad.terminated_reason == "reached_cap"
-    assert lad.final_p > 1e6
+    assert lad.entries[-1].p > 1e6
     assert len(lad.entries) <= 40
     p0 = lad.entries[0].p
     d1, d2 = ex.delta1(1.25), ex.delta2(1.25)

@@ -14,16 +14,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemostokes import solver
-from chemostokes.config import SimConfig, parse_config
+from chemostokes.config import ModelParams, SimConfig, parse_config
 from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.grid import Grid, divergence, grad_squared_cells, interior
 from chemostokes.regularization import f_eps
 from chemostokes.snapshots import (load_manifest, load_snapshot, read_field,
                                    write_field, write_manifest)
-from chemostokes.solver import (FieldState, choose_dt, init_state, run,
-                                sample_times, stability_rates, step, step_c)
+from chemostokes.solver import (FieldState, _project, choose_dt, init_state,
+                                run, sample_times, stability_rates, step,
+                                step_c)
 from chemostokes.spectral import SpectralCache
 
 
@@ -639,3 +641,62 @@ def test_coupled_3d_run_substeps_density(tmp_path, density_updates):
     assert_conserved_and_positive(result)
     assert all(r.div_u_inf <= 1e-10 for r in result.records)
     assert_resume_bit_exact(cfg)
+
+
+# ------------------------------------------------------------
+# scheme fuzz: one step from a random admissible state
+# ------------------------------------------------------------
+
+@st.composite
+def random_states(draw):
+    """A random admissible state and model: n >= 0 (not identically
+    zero, with vacuum cells), c >= 0, a projected no-slip u, m in (1, 3],
+    eps in (0, 1] and a random phi gradient, on 2-12 cells per axis in 2D
+    or 2-6 in 3D.  The fields come from a numpy generator seeded by
+    hypothesis, so every example is reproducible."""
+    dim = draw(st.sampled_from((2, 3)))
+    cells = tuple(draw(st.integers(2, 12 if dim == 2 else 6))
+                  for _ in range(dim))
+    extent = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
+    m = draw(st.floats(1.0, 3.0, exclude_min=True))
+    eps = draw(st.floats(0.0, 1.0, exclude_min=True))
+    phi = tuple(draw(st.floats(-10.0, 10.0)) for _ in range(dim))
+    n_amp, c_amp, u_amp = (10.0 ** draw(st.floats(-3.0, 1.0))
+                           for _ in range(3))
+    dt_max = 10.0 ** draw(st.floats(-5.0, -2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    grid = Grid(cells, extent)
+    cache = SpectralCache(grid)
+    n = n_amp * rng.random(cells) * (rng.random(cells) < 0.7)
+    n.flat[rng.integers(n.size)] = n_amp
+    c = c_amp * rng.random(cells)
+    u = grid.zero_velocity()
+    for a in range(dim):
+        interior(u[a], a)[...] = u_amp * rng.uniform(
+            -1.0, 1.0, interior(u[a], a).shape)
+    _project(grid, cache, u)
+    state = FieldState(t=0.0, n=n, c=c, u=u, p=np.zeros(cells))
+    model = ModelParams(m=m, k_d=1.0, eps=eps, phi_gradient=phi)
+    return grid, cache, state, model, dt_max
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(random_states())
+def test_one_step_keeps_the_invariants_or_raises(case):
+    """One step from any admissible state keeps mass to round-off, n >= 0,
+    max c non-increasing and ||div u||_inf <= DIV_TOL, or raises
+    NumericalError."""
+    grid, cache, state, model, dt_max = case
+    mass0 = float(np.sum(state.n))
+    c_max = float(np.max(state.c))
+    dt = choose_dt(grid, state, model, dt_max)
+    try:
+        step(grid, cache, state, model, dt)
+    except NumericalError:
+        return
+    assert abs(float(np.sum(state.n)) - mass0) <= 1e-13 * mass0
+    assert float(np.min(state.n)) >= 0.0
+    assert float(np.max(state.c)) <= c_max + 1e-12 * (1.0 + c_max)
+    assert float(np.max(np.abs(divergence(grid, state.u)))) \
+        <= solver.DIV_TOL
