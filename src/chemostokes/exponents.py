@@ -76,8 +76,16 @@ def space_time_exponent(p: float, m: float) -> float:
 
 
 def pivot(m: float) -> float:
-    """Limiting exponent 9(m-1) of the linear ladder."""
-    return 9.0 * (m - 1.0)
+    """Limiting exponent 9(m-1) of the linear ladder.
+
+    Both ladders aim at it, so it is where they refuse an m too large for
+    floats: 9(m-1) overflows from m ~ 2e307, and the call raises there.
+    """
+    piv = 9.0 * (m - 1.0)
+    if not math.isfinite(piv):
+        raise ExponentDomainError(
+            f"pivot 9(m-1) overflows a float at m = {m}")
+    return piv
 
 
 def step_bound(p_star: float, q: float, m: float) -> float:

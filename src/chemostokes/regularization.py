@@ -22,6 +22,15 @@ Bridge closed forms (r = eps s - 1 in [0, 1]):
                                         + (3/2) r^6 + r^5 - (5/2) r^4
 with W(1) = 1/2 and H(1) = 9/14 giving the plateau values.
 
+Below the cutoff the families are exact: where eps s - 1 <= 0 on every
+entry, the clipped r is 0, and chi_eps returns ones and f_eps a copy of
+s without evaluating the bridge (the polynomial gives these bits there).
+Bounded solutions live in that regime: for m > 9/8 the paper bounds
+||n||_inf by a constant M independent of eps, so along eps -> 0, once
+eps < 1/M, chi_eps(n) is identically 1 and f_eps(n) = n.  The test is
+one max over the array, and NaN fails it, so NaN still propagates
+through the polynomial.
+
 All functions are vectorized over s and assume s >= 0 (they are evaluated
 on density fields, which the solver keeps nonnegative); values for s < 0
 extend the low-density branch.  eps is not validated here (hot path); the
@@ -43,10 +52,20 @@ def _match(s, out):
     return float(out) if np.ndim(s) == 0 else out
 
 
+def _below_cutoff(a: np.ndarray, eps: float) -> bool:
+    """True when eps a - 1 <= 0 on every entry (eps > 0 makes that a test
+    of the max), so that the clipped bridge variable r is 0 everywhere.
+    False for empty input and for NaN."""
+    return a.size > 0 and eps * np.max(a) - 1.0 <= 0.0
+
+
 def d_base(s, m: float, k_d: float = 1.0):
     """Degenerate diffusivity k_D s^(m-1); vanishes at s = 0 when m > 1."""
     a = np.asarray(s, dtype=float)
-    return _match(s, k_d * np.power(np.maximum(a, 0.0), m - 1.0))
+    out = np.maximum(a, 0.0, out=np.empty_like(a))
+    np.power(out, m - 1.0, out=out)
+    out *= k_d
+    return _match(s, out)
 
 
 def d_eps(s, eps: float, m: float, k_d: float = 1.0):
@@ -69,6 +88,8 @@ def smoothstep(r):
 def chi_eps(s, eps: float):
     """C^2 sensitivity cutoff: 1 below 1/eps, 0 above 2/eps."""
     a = np.asarray(s, dtype=float)
+    if _below_cutoff(a, eps):
+        return _match(s, np.ones_like(a))
     r = np.clip(eps * a - 1.0, 0.0, 1.0)
     return _match(s, 1.0 - smoothstep(r))
 
@@ -81,6 +102,8 @@ def f_eps(s, eps: float):
     nondecreasing with derivative chi_eps.
     """
     a = np.asarray(s, dtype=float)
+    if _below_cutoff(a, eps):
+        return _match(s, a.copy())
     r = np.clip(eps * a - 1.0, 0.0, 1.0)
     w_int = (r * r) * (r * r) * (2.5 + r * (-3.0 + r))   # W(r)
     bridge = a - w_int / eps

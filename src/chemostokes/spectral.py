@@ -69,17 +69,19 @@ def solve_neumann_poisson(cache: SpectralCache, rhs: np.ndarray) -> np.ndarray:
     The constant mode is projected out (compatibility); the caller is
     expected to pass an rhs whose mean is already at round-off.
     """
-    rhat = dctn(rhs, type=2, norm="ortho")
-    phat = -rhat / cache.poisson_lam
+    phat = dctn(rhs, type=2, norm="ortho")
+    phat /= cache.poisson_lam
+    np.negative(phat, out=phat)          # -(r/lam) is -r/lam bit for bit
     phat[(0,) * rhs.ndim] = 0.0
-    return idctn(phat, type=2, norm="ortho")
+    return idctn(phat, type=2, norm="ortho", overwrite_x=True)
 
 
 def solve_cell_helmholtz(cache: SpectralCache, rhs: np.ndarray,
                          a: float) -> np.ndarray:
     """Solve (I - a Lap_h) x = rhs on cells with Neumann walls."""
-    xhat = dctn(rhs, type=2, norm="ortho") / (1.0 + a * cache.cell_lam)
-    return idctn(xhat, type=2, norm="ortho")
+    xhat = dctn(rhs, type=2, norm="ortho")
+    xhat /= 1.0 + a * cache.cell_lam
+    return idctn(xhat, type=2, norm="ortho", overwrite_x=True)
 
 
 def solve_face_helmholtz(cache: SpectralCache, rhs_interior: np.ndarray,
@@ -93,10 +95,14 @@ def solve_face_helmholtz(cache: SpectralCache, rhs_interior: np.ndarray,
     dim = rhs_interior.ndim
     xhat = rhs_interior
     for b in range(dim):
-        xhat = dst(xhat, type=1 if b == axis else 2, axis=b, norm="ortho")
-    xhat = xhat / (1.0 + a * cache.face_lam[axis])
+        # the first transform reads the caller's array; later ones reuse
+        # the temporaries
+        xhat = dst(xhat, type=1 if b == axis else 2, axis=b, norm="ortho",
+                   overwrite_x=b > 0)
+    xhat /= 1.0 + a * cache.face_lam[axis]
     for b in range(dim):
-        xhat = idst(xhat, type=1 if b == axis else 2, axis=b, norm="ortho")
+        xhat = idst(xhat, type=1 if b == axis else 2, axis=b, norm="ortho",
+                    overwrite_x=True)
     return xhat
 
 

@@ -412,7 +412,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "simulate", "--config", cfg_path, "--resume"]) == 1
     assert "no manifest" in capsys.readouterr().err
     # a numerical failure inside the run -> 2
-    def failing_step_n(grid, state, model, dt):
+    def failing_step_n(grid, state, model, dt, terms):
         raise NumericalError(f"density positivity lost at t = {state.t}")
 
     monkeypatch.setattr(solver, "step_n", failing_step_n)
@@ -487,10 +487,10 @@ def test_cli_sweep_failed_member(tmp_path, capsys, monkeypatch):
     for the member after it, and makes the sweep exit 2."""
     real_step_n = solver.step_n
 
-    def step_n(grid, state, model, dt):
+    def step_n(grid, state, model, dt, terms):
         if model.eps == 0.1:
             raise NumericalError(f"density positivity lost at t = {state.t}")
-        return real_step_n(grid, state, model, dt)
+        return real_step_n(grid, state, model, dt, terms)
 
     monkeypatch.setattr(solver, "step_n", step_n)
     spec_path = write_json(tmp_path, "sweep.json", {
@@ -663,6 +663,22 @@ def test_cli_psi_ladder_at_huge_m():
     proc = exponents("1e160")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "m = 1e+160" in proc.stderr
+
+
+def test_cli_ladders_refuse_an_overflowing_pivot(capsys):
+    """At m = 1e308 the pivot 9(m-1) is inf: both ladders exit 1 naming m
+    and print no row; at m = 1e300 the linear ladder still prints its
+    finite rows."""
+    for ladder in ("linear", "psi"):
+        assert main(["exponents", "--m", "1e308", "--ladder", ladder]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == ("error: pivot 9(m-1) overflows a float at "
+                           "m = 1e+308\n")
+    assert main(["exponents", "--m", "1e300", "--ladder", "linear"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[1] == "1,3e+300,,true"
+    assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -6,6 +6,7 @@ those oracles.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def test_psi_ladder_domain():
         ex.run_psi_ladder(1.1, 1e6)
     with pytest.raises(ExponentDomainError):
         ex.run_psi_ladder(1.25, 0.5)
+
+
+def test_pivot_overflow_is_refused_by_both_ladders():
+    """9(m-1) overflows from m ~ 2e307; the one finiteness test in pivot()
+    makes both ladders raise naming m, instead of a linear row of inf or a
+    psi error that blames m > 9/8 with a NaN gap."""
+    assert ex.pivot(1e300) == 9.0 * (1e300 - 1.0)
+    lad = ex.run_linear_ladder(1e300, 1.0, 1e6)
+    assert all(math.isfinite(e.p) for e in lad.entries)
+    for m in (2e307, 1e308, math.inf):
+        with pytest.raises(ExponentDomainError, match=re.escape(f"at m = {m}")):
+            ex.pivot(m)
+        with pytest.raises(ExponentDomainError, match="pivot 9"):
+            ex.run_linear_ladder(m, 1.0, 1e6)
+        with pytest.raises(ExponentDomainError, match="pivot 9"):
+            ex.run_psi_ladder(m, 1e6)
 
 
 def test_ladder_domains_reject_nan():

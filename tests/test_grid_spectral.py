@@ -8,6 +8,7 @@ telescope to zero.
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, dst, idctn, idst
 
 from chemostokes.errors import ConfigError
 from chemostokes.grid import (Grid, divergence, face_avg, face_diff,
@@ -108,6 +109,46 @@ def test_face_helmholtz_3d_residual():
     interior(full, 1)[...] = x
     res = x - 1.1e-3 * face_laplacian(grid, full, 1) - rhs
     assert np.max(np.abs(res)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [(20, 14), (10, 8, 6)])
+def test_solves_match_out_of_place_and_leave_rhs_untouched(cells):
+    """Each solve returns the bits of an out-of-place reference (a fresh
+    array per transform and divide) and never writes its rhs, which the
+    callers reuse for their residuals.  The face rhs is an interior view
+    of a full face array, as in step_u."""
+    grid = Grid(cells, [0.25 * c for c in cells])
+    cache = SpectralCache(grid)
+    rng = np.random.default_rng(len(cells))
+    a = 2.9e-3
+    rhs = rng.standard_normal(grid.cells)
+    kept = rhs.copy()
+
+    rhat = dctn(rhs, type=2, norm="ortho")
+    phat = -rhat / cache.poisson_lam
+    phat[(0,) * grid.dim] = 0.0
+    expected = idctn(phat, type=2, norm="ortho")
+    assert np.array_equal(solve_neumann_poisson(cache, rhs), expected)
+    assert np.array_equal(rhs, kept)
+
+    xhat = dctn(rhs, type=2, norm="ortho") / (1.0 + a * cache.cell_lam)
+    expected = idctn(xhat, type=2, norm="ortho")
+    assert np.array_equal(solve_cell_helmholtz(cache, rhs, a), expected)
+    assert np.array_equal(rhs, kept)
+
+    for axis in range(grid.dim):
+        full = rng.standard_normal(grid.face_shape(axis))
+        kept = full.copy()
+        kinds = [1 if b == axis else 2 for b in range(grid.dim)]
+        xhat = interior(full, axis)
+        for b in range(grid.dim):
+            xhat = dst(xhat, type=kinds[b], axis=b, norm="ortho")
+        xhat = xhat / (1.0 + a * cache.face_lam[axis])
+        for b in range(grid.dim):
+            xhat = idst(xhat, type=kinds[b], axis=b, norm="ortho")
+        got = solve_face_helmholtz(cache, interior(full, axis), axis, a)
+        assert np.array_equal(got, xhat)
+        assert np.array_equal(full, kept)
 
 
 def test_projection_removes_gradients_keeps_curls():

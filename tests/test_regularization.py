@@ -7,6 +7,7 @@ bound/branch contracts are sampled.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from chemostokes.errors import ConfigError
@@ -70,6 +71,76 @@ def test_identity_below_cutoff():
     assert np.array_equal(reg.f_eps(s, eps), s)
     assert np.array_equal(reg.g_eps(s, eps), 0.5 * s * s)
     assert np.all(reg.chi_eps(s, eps) == 1.0)
+
+
+def chi_polynomial(s, eps):
+    """chi_eps through its bridge polynomial on every entry."""
+    r = np.clip(eps * np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
+    return 1.0 - reg.smoothstep(r)
+
+
+def f_polynomial(s, eps):
+    """f_eps through its bridge polynomial on every entry."""
+    a = np.asarray(s, dtype=float)
+    r = np.clip(eps * a - 1.0, 0.0, 1.0)
+    w_int = (r * r) * (r * r) * (2.5 + r * (-3.0 + r))
+    return np.where(a >= 2.0 / eps, 1.5 / eps, a - w_int / eps)
+
+
+def same_bits(x, y):
+    """Equal arrays bit for bit: the sign of zero and NaN payloads count."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(eps=st.floats(1e-6, 1.0),
+       fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30))
+def test_identity_below_cutoff_is_the_polynomial_bit_for_bit(eps, fractions):
+    """Wherever the short cut below 1/eps applies, chi_eps and f_eps return
+    the polynomial's bits; elsewhere they take the polynomial itself."""
+    s = np.asarray(fractions) / eps
+    edges = np.array([0.0, -0.0, 1.0 / eps])
+    for arr in (s, edges, np.concatenate([s, edges]), s[s <= 1.0 / eps]):
+        assert same_bits(reg.chi_eps(arr, eps), chi_polynomial(arr, eps))
+        assert same_bits(reg.f_eps(arr, eps), f_polynomial(arr, eps))
+    assert reg._below_cutoff(edges, eps) == (eps * (1.0 / eps) <= 1.0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.1, 0.05, 0.025])
+def test_identity_short_cut_edges(eps):
+    # one ulp above 1/eps, eps s - 1 > 0: the polynomial path runs
+    above = np.array([0.0, np.nextafter(1.0 / eps, np.inf)])
+    assert eps * above[1] - 1.0 > 0.0 and not reg._below_cutoff(above, eps)
+    assert same_bits(reg.chi_eps(above, eps), chi_polynomial(above, eps))
+    assert same_bits(reg.f_eps(above, eps), f_polynomial(above, eps))
+    # NaN passes no test, so it reaches the polynomial and propagates
+    with_nan = np.array([0.5, np.nan])
+    assert np.isnan(reg.chi_eps(with_nan, eps)).tolist() == [False, True]
+    assert np.isnan(reg.f_eps(with_nan, eps)).tolist() == [False, True]
+    # empty and 0-d inputs keep their shapes and types
+    for fun in (reg.chi_eps, reg.f_eps):
+        assert fun(np.array([]), eps).shape == (0,)
+        assert isinstance(fun(np.float64(0.5), eps), float)
+        assert isinstance(fun(np.array(0.5), eps), float)
+    assert reg.chi_eps(0.0, eps) == 1.0 and reg.f_eps(-0.0, eps) == 0.0
+    # f returns its own array, never the caller's
+    s = np.array([0.25, 0.5])
+    out = reg.f_eps(s, eps)
+    out[0] = 7.0
+    assert s[0] == 0.25
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(s=st.lists(st.floats(-1.0, 1e6), max_size=30),
+       m=st.floats(1.0, 4.0), k_d=st.floats(0.0, 10.0))
+def test_d_base_in_place_keeps_its_bits(s, m, k_d):
+    a = np.asarray(s, dtype=float)
+    expected = k_d * np.power(np.maximum(a, 0.0), m - 1.0)
+    assert same_bits(reg.d_base(a, m, k_d), expected)
+    if s:
+        assert same_bits(reg.d_base(s[0], m, k_d), expected[0])
 
 
 def test_bounds_sampled():

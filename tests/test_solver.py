@@ -19,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from chemostokes import solver
 from chemostokes.config import ModelParams, SimConfig, parse_config
 from chemostokes.errors import ConfigError, NumericalError
-from chemostokes.grid import Grid, divergence, grad_squared_cells, interior
-from chemostokes.regularization import f_eps
+from chemostokes.grid import (Grid, divergence, face_avg, face_diff,
+                              face_upwind, full_faces, grad_squared_cells,
+                              interior)
+from chemostokes.regularization import f_eps, smoothstep
 from chemostokes.snapshots import (load_manifest, load_snapshot, read_field,
                                    write_field, write_manifest)
 from chemostokes.solver import (FieldState, _project, choose_dt, init_state,
@@ -245,11 +247,12 @@ def test_oversized_density_update_raises_positivity():
     grid, _, state = fresh(cfg)
     with pytest.raises(NumericalError,
                        match=r"density positivity lost at cell \("):
-        solver.step_n(grid, state, cfg.model, 2e-4)
+        solver.step_n(grid, state, cfg.model, 2e-4,
+                      solver.frozen_terms(grid, state))
 
 
 def test_numerical_failure_marks_run_failed(tmp_path, monkeypatch):
-    def failing_step_n(grid, state, model, dt):
+    def failing_step_n(grid, state, model, dt, terms):
         raise NumericalError(f"injected failure at t = {state.t}")
 
     monkeypatch.setattr(solver, "step_n", failing_step_n)
@@ -541,11 +544,11 @@ def density_updates(monkeypatch):
         steps.append({"dt": dt, "n_dts": [], "rates": None})
         return step_orig(grid, cache, state, model, dt)
 
-    def recording_step_n(grid, state, model, dt):
+    def recording_step_n(grid, state, model, dt, terms):
         if steps[-1]["rates"] is None:
             steps[-1]["rates"] = stability_rates(grid, state, model)
         steps[-1]["n_dts"].append(dt)
-        return step_n_orig(grid, state, model, dt)
+        return step_n_orig(grid, state, model, dt, terms)
 
     monkeypatch.setattr(solver, "step", recording_step)
     monkeypatch.setattr(solver, "step_n", recording_step_n)
@@ -700,3 +703,54 @@ def test_one_step_keeps_the_invariants_or_raises(case):
     assert float(np.max(state.c)) <= c_max + 1e-12 * (1.0 + c_max)
     assert float(np.max(np.abs(divergence(grid, state.u)))) \
         <= solver.DIV_TOL
+
+
+# ------------------------------------------------------------
+# the n-update on hoisted terms against the per-call update
+# ------------------------------------------------------------
+
+def per_call_step_n(grid, state, model, dt):
+    """The density update with nothing hoisted, as an oracle: every call
+    takes c's face gradient and both upwind selections through
+    face_upwind, the polynomial chi_eps and d_base, and the divergence of
+    zero-padded full face arrays."""
+    n, c = state.n, state.c
+    de = model.k_d * np.power(np.maximum(n, 0.0), model.m - 1.0) + model.eps
+    fluxes = []
+    for a in range(grid.dim):
+        adv = interior(state.u[a], a)
+        g = face_diff(grid, c, a)
+        n_up = face_upwind(n, g, a)
+        chi = 1.0 - smoothstep(np.clip(model.eps * n_up - 1.0, 0.0, 1.0))
+        flux = adv * face_upwind(n, adv, a) \
+            + n_up * (chi * g) \
+            - face_avg(de, a) * face_diff(grid, n, a)
+        fluxes.append(full_faces(grid, flux, a))
+    return n - dt * divergence(grid, fluxes)
+
+
+@st.composite
+def n_phases(draw):
+    """A random admissible state (random_states) whose attractant is
+    exactly 0 on about a third of the cells, and a substep count k."""
+    grid, _, state, model, dt_max = draw(random_states())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    state.c = state.c * (rng.random(state.c.shape) < 0.7)
+    return grid, state, model, dt_max, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n_phases())
+def test_step_n_on_frozen_terms_matches_the_per_call_update(case):
+    """k n-updates on one frozen_terms() give the per-call update's bits
+    after every substep, or both go negative."""
+    grid, state, model, dt_max, k = case
+    terms = solver.frozen_terms(grid, state)
+    for _ in range(k):
+        expected = per_call_step_n(grid, state, model, dt_max / k)
+        try:
+            solver.step_n(grid, state, model, dt_max / k, terms)
+        except NumericalError:
+            assert float(np.min(expected)) < 0.0
+            return
+        assert np.array_equal(state.n, expected)
