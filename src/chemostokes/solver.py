@@ -35,9 +35,10 @@ NumericalError naming the first cell whose density went negative.
 
 What u and c fix for the n-phase is computed once per step, not once
 per n-update: per axis, the interior face speed, c's face gradient and
-the masks `> 0` that pick the upwind cell of each (frozen_terms).  Each
-n-update takes the same floating-point operations as the flux
-divergence of padded face arrays, so the hoist changes no output bit.
+the masks `> 0` that pick the upwind cell of each (frozen_terms).  c's
+face gradient is taken once after the c-step and serves both the drift
+rate and the n-phase.  Each n-update takes the same floating-point
+operations as before the hoist, so it changes no output bit.
 """
 
 from __future__ import annotations
@@ -285,14 +286,18 @@ def step_c(grid: Grid, cache: SpectralCache, state: FieldState, model,
     return {"c_helmholtz_rel": helm_rel}
 
 
-def frozen_terms(grid: Grid, state: FieldState) -> list:
+def c_gradients(grid: Grid, state: FieldState) -> list:
+    """c's face gradient on the interior faces of each axis."""
+    return [face_diff(grid, state.c, a) for a in range(grid.dim)]
+
+
+def frozen_terms(grid: Grid, state: FieldState, grad_c: list) -> list:
     """What the n-phase reads of u and c, which stay frozen through it:
-    per axis, the interior face speed, c's face gradient and the masks
-    `> 0` that pick their upwind cells."""
+    per axis, the interior face speed, c's face gradient (grad_c, from
+    c_gradients) and the masks `> 0` that pick their upwind cells."""
     terms = []
-    for a in range(grid.dim):
+    for a, g in enumerate(grad_c):
         speed = interior(state.u[a], a)
-        g = face_diff(grid, state.c, a)
         terms.append((speed, speed > 0.0, g, g > 0.0))
     return terms
 
@@ -305,7 +310,7 @@ def step_n(grid: Grid, state: FieldState, model, dt: float,
     n = state.n
     de = d_eps(n, model.eps, model.m, model.k_d)
 
-    div = np.zeros(grid.cells)
+    fluxes = []
     for a, (speed, ahead, g, uphill) in enumerate(terms):
         # face_upwind's rule, on the hoisted masks
         left = axslice(n, a, slice(0, -1))
@@ -314,10 +319,9 @@ def step_n(grid: Grid, state: FieldState, model, dt: float,
         flux = speed * np.where(ahead, left, right) \
             + n_up * (chi_eps(n_up, model.eps) * g) \
             - face_avg(de, a) * face_diff(grid, n, a)
-        # divergence() of the zero-padded fluxes, without the padded copy
-        div += np.diff(flux, axis=a, prepend=0.0, append=0.0) / grid.h[a]
+        fluxes.append(full_faces(grid, flux, a))
 
-    n_new = n - dt * div
+    n_new = n - dt * divergence(grid, fluxes)
     n_min = float(np.min(n_new))
     if n_min < 0.0:
         idx = np.unravel_index(int(np.argmin(n_new)), n_new.shape)
@@ -331,15 +335,19 @@ def step_n(grid: Grid, state: FieldState, model, dt: float,
 # full step and dt selection
 # ============================================================
 
-def stability_rates(grid: Grid, state: FieldState, model):
+def stability_rates(grid: Grid, state: FieldState, model,
+                    grad_c: list | None = None):
     """Summed per-axis rates of the three explicit mechanisms: upwind
     advection by u, chemotactic drift (chi_eps <= 1) and degenerate
     diffusion of n.  The drift rate counts both faces of an axis: at a
-    grid-scale minimum of c, drift drains a cell through both."""
+    grid-scale minimum of c, drift drains a cell through both.  grad_c
+    is c_gradients() of the state when the caller has it already."""
+    if grad_c is None:
+        grad_c = c_gradients(grid, state)
     r_adv = sum(float(np.max(np.abs(state.u[a]))) / grid.h[a]
                 for a in range(grid.dim))
-    r_drift = sum(2.0 * float(np.max(np.abs(face_diff(grid, state.c, a))))
-                  / grid.h[a] for a in range(grid.dim))
+    r_drift = sum(2.0 * float(np.max(np.abs(g))) / grid.h[a]
+                  for a, g in enumerate(grad_c))
     max_d = model.k_d * float(np.max(state.n)) ** (model.m - 1.0) + model.eps
     r_diff = sum(2.0 * max_d / (grid.h[a] * grid.h[a])
                  for a in range(grid.dim))
@@ -370,9 +378,10 @@ def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
     residuals = {}
     residuals.update(step_u(grid, cache, state, model, dt))
     residuals.update(step_c(grid, cache, state, model, dt))
-    ratio = dt * sum(stability_rates(grid, state, model)) / CFL
+    grad_c = c_gradients(grid, state)
+    ratio = dt * sum(stability_rates(grid, state, model, grad_c)) / CFL
     k = math.ceil(ratio) if 1.0 < ratio < math.inf else 1
-    terms = frozen_terms(grid, state)
+    terms = frozen_terms(grid, state, grad_c)
     for _ in range(k):
         step_n(grid, state, model, dt / k, terms)
     state.t += dt

@@ -247,8 +247,8 @@ def test_oversized_density_update_raises_positivity():
     grid, _, state = fresh(cfg)
     with pytest.raises(NumericalError,
                        match=r"density positivity lost at cell \("):
-        solver.step_n(grid, state, cfg.model, 2e-4,
-                      solver.frozen_terms(grid, state))
+        solver.step_n(grid, state, cfg.model, 2e-4, solver.frozen_terms(
+            grid, state, solver.c_gradients(grid, state)))
 
 
 def test_numerical_failure_marks_run_failed(tmp_path, monkeypatch):
@@ -743,9 +743,13 @@ def n_phases(draw):
 @given(n_phases())
 def test_step_n_on_frozen_terms_matches_the_per_call_update(case):
     """k n-updates on one frozen_terms() give the per-call update's bits
-    after every substep, or both go negative."""
+    after every substep, or both go negative; the drift rate on the shared
+    c gradients is the one stability_rates takes on its own."""
     grid, state, model, dt_max, k = case
-    terms = solver.frozen_terms(grid, state)
+    grad_c = solver.c_gradients(grid, state)
+    assert stability_rates(grid, state, model, grad_c) \
+        == stability_rates(grid, state, model)
+    terms = solver.frozen_terms(grid, state, grad_c)
     for _ in range(k):
         expected = per_call_step_n(grid, state, model, dt_max / k)
         try:
