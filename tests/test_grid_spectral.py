@@ -8,8 +8,10 @@ telescope to zero.
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import dctn, dst, idctn, idst
 
+from chemostokes import spectral
 from chemostokes.errors import ConfigError
 from chemostokes.grid import (Grid, divergence, face_avg, face_diff,
                               face_upwind, full_faces, grad_squared_cells,
@@ -149,6 +151,65 @@ def test_solves_match_out_of_place_and_leave_rhs_untouched(cells):
         got = solve_face_helmholtz(cache, interior(full, axis), axis, a)
         assert np.array_equal(got, xhat)
         assert np.array_equal(full, kept)
+
+
+TRANSFORM_SHAPES = [(6, 5), (1, 2), (2, 1), (7, 4, 3), (1, 2, 1)]
+
+
+def transform_inputs(shape, seed):
+    """A contiguous array of `shape` and, per axis, an interior view of a
+    larger array (one more sample on each side), as step_u passes."""
+    rng = np.random.default_rng(seed)
+    yield rng.standard_normal(shape)
+    for a in range(len(shape)):
+        big = list(shape)
+        big[a] += 2
+        yield interior(rng.standard_normal(big), a)
+
+
+def check_transform(ours, reference, x):
+    """`ours` matches `reference` bit for bit, leaves its input alone when
+    out of place, and writes into the input's buffer with overwrite_x."""
+    kept = x.copy()
+    expected = reference(kept.copy())
+    assert np.array_equal(ours(x), expected)
+    assert np.array_equal(x, kept)
+    got = ours(x, overwrite_x=True)
+    assert got is x
+    assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_transforms_match_scipy_fft(shape):
+    """Each kernel wrapper returns the bits of its public scipy.fft
+    counterpart, in 2D and 3D, along every axis, for odd, even and
+    length-1 and -2 axes, on contiguous arrays and strided views."""
+    for x in transform_inputs(shape, len(shape)):
+        check_transform(spectral.dctn,
+                        lambda y: dctn(y, type=2, norm="ortho"), x)
+        check_transform(spectral.idctn,
+                        lambda y: idctn(y, type=2, norm="ortho"), x)
+        for axis in range(len(shape)):
+            for kind in (1, 2):
+                check_transform(
+                    lambda y, **kw: spectral.dst(y, kind, axis, **kw),
+                    lambda y: dst(y, type=kind, axis=axis, norm="ortho"), x)
+                check_transform(
+                    lambda y, **kw: spectral.idst(y, kind, axis, **kw),
+                    lambda y: idst(y, type=kind, axis=axis, norm="ortho"),
+                    x)
+
+
+def test_kernel_is_loaded_once():
+    assert scipy.fft._pocketfft.pfft is spectral._kernel
+
+
+def test_missing_kernel_names_scipy_and_path(tmp_path):
+    with pytest.raises(ImportError) as err:
+        spectral._load_kernel(str(tmp_path))
+    assert scipy.__version__ in str(err.value)
+    assert str(tmp_path / "fft" / "_pocketfft" / "pypocketfft") \
+        in str(err.value)
 
 
 def test_projection_removes_gradients_keeps_curls():

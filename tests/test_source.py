@@ -1,8 +1,12 @@
 """Source hygiene of the package, checked with the standard library alone
-(no linter is needed): no module imports a name it never uses.
+(no linter is needed): no module imports a name it never uses, and
+importing the package leaves the heavy parts of scipy unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,21 @@ def test_unused_imports_are_found():
                                           PACKAGE.glob("*.py")))
 def test_module_imports_no_unused_name(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    """The transforms come from scipy's pocketfft kernel alone; a stray
+    top-level scipy import would bring back the 0.3 s that ``scipy.fft``
+    adds to the import."""
+    code = ("import sys\n"
+            "import chemostokes, chemostokes.cli, chemostokes.sweep\n"
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special',\n"
+            "                         'scipy._lib._array_api')\n"
+            "             if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
