@@ -53,11 +53,8 @@ class ICSpec:
 
 @dataclass(frozen=True)
 class DiagnosticsParams:
-    """What to record; the energy constants (kappa, the floor sigma and
-    the quasi-energy C1) are derived from the data, see
-    diagnostics.resolve_diagnostics."""
+    """What to record; diagnostics.resolve_diagnostics derives the rest."""
     lp: tuple = (2.0, 4.0, "m")     # Lp norms of n to record ("m" -> model.m)
-    window: float = 1.0             # window length for dissipation/quasi checks
 
 
 @dataclass(frozen=True)
@@ -217,14 +214,12 @@ def parse_config(source) -> SimConfig:
                       sample_every=sample_every)
 
     dg = raw.get("diagnostics", {})
-    known_keys(dg, ("lp", "window"), "diagnostics")
+    known_keys(dg, ("lp",), "diagnostics")
     lp = tuple(_list(dg.get("lp", (2.0, 4.0, "m")), "diagnostics.lp",
                      lambda p, where: p if p == "m" else _num(p, where)))
     _check(all(p == "m" or p >= 1.0 for p in lp),
            f"diagnostics.lp: exponents must be >= 1, got {lp}")
-    window = _num(dg.get("window", 1.0), "diagnostics.window")
-    _check(window > 0.0, f"diagnostics.window: must be > 0, got {window}")
-    diag = DiagnosticsParams(lp=lp, window=window)
+    diag = DiagnosticsParams(lp=lp)
 
     output = raw.get("output", {})
     known_keys(output, ("dir",), "output")
@@ -256,7 +251,6 @@ def config_to_dict(cfg: SimConfig) -> dict:
                **_present(perturb=cfg.ic.perturb)},
         "time": {"t_final": cfg.time.t_final, "dt_max": cfg.time.dt_max,
                  **_present(sample_every=cfg.time.sample_every)},
-        "diagnostics": {"lp": list(cfg.diagnostics.lp),
-                        "window": cfg.diagnostics.window},
+        "diagnostics": {"lp": list(cfg.diagnostics.lp)},
         "seed": cfg.seed,
     }

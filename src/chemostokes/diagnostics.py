@@ -36,6 +36,16 @@ from .grid import Grid, divergence, grad_squared_cells, interior, \
 from .regularization import f_eps
 from .spectral import face_laplacian
 
+MASS_TOL_REL = 1e-12        # mass drift, relative to the initial mass
+C_MAX_SLACK = 1e-12         # rise of max c, times 1 + max c; step_c too
+C_MASS_TOL = 1e-3           # c-mass identity deviation, absolute
+C_L2_TOL_REL = 1e-6         # c L2 inequality margin, relative
+ENTROPY_SLACK = 1e-9        # below -|Omega|/e, times 1 + |Omega|; evaluate too
+DECAY_THRESHOLD = 0.1       # endpoint decay-gap ratio
+WINDOW = 1.0                # window length of the windowed checks
+SKIP_WINDOWS = 2            # transient windows energy_boundedness skips
+ENERGY_TOL_REL = 1e-6       # windowed-dissipation rise, relative
+
 
 @dataclass
 class ResolvedDiagnostics:
@@ -43,7 +53,6 @@ class ResolvedDiagnostics:
     kappa: float                # kinetic-energy weight
     sigma_c: float              # gradient-energy floor, > 0
     lp: tuple                   # numeric exponents, resolved and deduped
-    window: float
     mean_n0: float              # initial mean density (decay reference)
 
 
@@ -55,7 +64,6 @@ def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostic
         # 1e-12 where max c0 = 0, so that |grad c|^2/(c + sigma) is never 0/0
         sigma_c=1e-12 * c0max or 1e-12,
         lp=tuple(sorted(lp)),
-        window=params.window,
         mean_n0=float(np.sum(n0)) * grid.cell_volume / grid.volume,
     )
 
@@ -117,7 +125,7 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
 
     entropy = float(np.sum(n * np.log(np.maximum(n, 1e-300)))) * vol
     floor = -grid.volume / np.e
-    if entropy < floor - 1e-9 * (1.0 + grid.volume):
+    if entropy < floor - ENTROPY_SLACK * (1.0 + grid.volume):
         raise NumericalError(
             f"entropy {entropy} fell below the pointwise floor {floor} "
             f"at t = {state.t}; density positivity must be broken")
@@ -180,27 +188,27 @@ def _worst(values, times, lowest=False):
     return values[k], times[k]
 
 
-def check_mass_conservation(records, tol_rel: float = 1e-12) -> CheckResult:
-    """|mass(t) - mass(0)| <= tol_rel * mass(0) at every sample."""
+def check_mass_conservation(records) -> CheckResult:
+    """|mass(t) - mass(0)| <= MASS_TOL_REL * mass(0) at every sample."""
     m0 = records[0].mass
     worst, at = _worst([abs(r.mass - m0) for r in records],
                        [r.t for r in records])
-    return CheckResult("mass_conservation", worst <= tol_rel * abs(m0),
+    return CheckResult("mass_conservation", worst <= MASS_TOL_REL * abs(m0),
                        worst / abs(m0) if m0 else worst, at,
                        f"relative to initial mass {m0!r}")
 
 
-def check_c_max_monotone(records, tol: float = 1e-12) -> CheckResult:
-    """max c non-increasing across samples, up to tol * (1 + max c0)."""
-    slack = tol * (1.0 + records[0].c_max)
+def check_c_max_monotone(records) -> CheckResult:
+    """max c never rises between samples by over C_MAX_SLACK (1 + max c0)."""
+    slack = C_MAX_SLACK * (1.0 + records[0].c_max)
     rises = [cur.c_max - prev.c_max for prev, cur in zip(records, records[1:])]
     worst, at = _worst([-np.inf] + rises, [r.t for r in records])
     return CheckResult("c_max_monotone", worst <= slack, worst, at,
                        f"largest rise between consecutive samples, slack {slack!r}")
 
 
-def check_c_mass_identity(records, tol: float = 1e-3) -> CheckResult:
-    """|c_mass(t) + consumed_mass_running(t) - c_mass(0)| <= tol (absolute).
+def check_c_mass_identity(records) -> CheckResult:
+    """|c_mass(t) + consumed_mass_running(t) - c_mass(0)| <= C_MASS_TOL.
 
     The accumulator is an independent right-endpoint Riemann sum, so the
     deviation is dominated by the O(dt) splitting error of the c-step and
@@ -209,17 +217,17 @@ def check_c_mass_identity(records, tol: float = 1e-3) -> CheckResult:
     ref = records[0].c_mass
     devs = [abs(r.c_mass + r.consumed_mass_running - ref) for r in records]
     worst, at = _worst(devs, [r.t for r in records])
-    return CheckResult("c_mass_identity", worst <= tol, worst, at,
+    return CheckResult("c_mass_identity", worst <= C_MASS_TOL, worst, at,
                        f"absolute deviation from initial c-mass {ref!r}")
 
 
-def check_c_l2_inequality(records, tol_rel: float = 1e-6) -> CheckResult:
-    """0.5 c_l2sq(t) + gradc_l2_running(t) <= 0.5 c_l2sq(0) (1 + tol_rel).
+def check_c_l2_inequality(records) -> CheckResult:
+    """0.5 c_l2sq(t) + gradc_l2_running(t) <= 0.5 c_l2sq(0) (1 + C_L2_TOL_REL).
 
     Consumption and upwind advection only dissipate, so the implicit-Euler
     diffusion identity becomes an inequality with margin.
     """
-    rhs = 0.5 * records[0].c_l2sq * (1.0 + tol_rel)
+    rhs = 0.5 * records[0].c_l2sq * (1.0 + C_L2_TOL_REL)
     excess = [0.5 * r.c_l2sq + r.gradc_l2_running - rhs for r in records]
     worst, at = _worst(excess, [r.t for r in records])
     return CheckResult("c_l2_inequality", worst <= 0.0, worst, at,
@@ -231,14 +239,14 @@ def check_entropy_floor(records, volume: float) -> CheckResult:
     floor = -volume / np.e
     worst, at = _worst([r.entropy - floor for r in records],
                        [r.t for r in records], lowest=True)
-    return CheckResult("entropy_floor", worst >= -1e-9 * (1.0 + volume),
+    return CheckResult("entropy_floor", worst >= -ENTROPY_SLACK * (1.0 + volume),
                        worst, at, f"smallest margin above -|Omega|/e = {floor!r}")
 
 
-def check_decay(records, threshold: float = 0.1) -> CheckResult:
+def check_decay(records) -> CheckResult:
     """Endpoint decay gaps: n against its run max, c against its initial
-    value, u against its run max; each must drop below `threshold` times
-    the reference."""
+    value, u against its run max; each must drop below DECAY_THRESHOLD
+    times the reference."""
     last = records[-1]
     ref_n = float(np.max([r.decay_gap_n for r in records]))
     ref_c = records[0].decay_gap_c
@@ -247,22 +255,20 @@ def check_decay(records, threshold: float = 0.1) -> CheckResult:
         (last.decay_gap_n, ref_n), (last.decay_gap_c, ref_c),
         (last.decay_gap_u, ref_u))]
     worst, at = _worst(ratios, [last.t] * 3)
-    return CheckResult("decay", worst <= threshold, worst, at,
+    return CheckResult("decay", worst <= DECAY_THRESHOLD, worst, at,
                        f"gap ratios n/c/u = {ratios[0]:.3g}/{ratios[1]:.3g}/{ratios[2]:.3g}")
 
 
-def check_energy_boundedness(records, window: float,
-                             skip_windows: int = 2,
-                             tol_rel: float = 1e-6) -> CheckResult:
+def check_energy_boundedness(records) -> CheckResult:
     """E_total stays finite and windowed dissipation integrals are
-    non-increasing once the initial transient (skip_windows windows) has
+    non-increasing once the initial transient (SKIP_WINDOWS windows) has
     passed.  Window integrals use the trapezoid rule on sample times."""
     if any(not np.isfinite(r.e_total) for r in records):
         return CheckResult("energy_boundedness", False, np.inf,
                            records[-1].t, "non-finite total energy")
     t0, t1 = records[0].t, records[-1].t
-    nwin = int(np.floor((t1 - t0) / window + 1e-9))
-    if nwin < skip_windows + 2:
+    nwin = int(np.floor((t1 - t0) / WINDOW + 1e-9))
+    if nwin < SKIP_WINDOWS + 2:
         return CheckResult("energy_boundedness", True, 0.0, t1,
                            f"only {nwin} windows; monotonicity not testable")
     ts = np.array([r.t for r in records])
@@ -270,31 +276,31 @@ def check_energy_boundedness(records, window: float,
                      for r in records])
     integrals = []
     for j in range(nwin):
-        lo, hi = t0 + j * window, t0 + (j + 1) * window
+        lo, hi = t0 + j * WINDOW, t0 + (j + 1) * WINDOW
         sel = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
         if np.count_nonzero(sel) < 2:
             return CheckResult("energy_boundedness", False, np.inf, lo,
                                f"window [{lo}, {hi}] has < 2 samples")
         integrals.append(float(np.trapezoid(diss[sel], ts[sel])))
-    later = range(skip_windows, nwin - 1)
-    rises = [integrals[j + 1] - integrals[j] * (1.0 + tol_rel) for j in later]
+    later = range(SKIP_WINDOWS, nwin - 1)
+    rises = [integrals[j + 1] - integrals[j] * (1.0 + ENERGY_TOL_REL) for j in later]
     worst, at = _worst([-np.inf] + rises,
-                       [t0] + [t0 + (j + 1) * window for j in later])
+                       [t0] + [t0 + (j + 1) * WINDOW for j in later])
     return CheckResult("energy_boundedness",
                        worst <= 1e-12 * (1.0 + max(integrals)), worst, at,
-                       f"largest windowed-dissipation rise after window {skip_windows}")
+                       f"largest windowed-dissipation rise after window {SKIP_WINDOWS}")
 
 
-def check_quasi_energy(records, window: float) -> CheckResult:
+def check_quasi_energy(records) -> CheckResult:
     """Empirical short-time quasi-energy constants.
 
-    For each sample time t* with t* + window <= T, the constant
-    C(t*) = max_{t in (t*, t*+window]} y(t) / (y(t*) + sup c_l2sq over the
+    For each sample time t* with t* + WINDOW <= T, the constant
+    C(t*) = max_{t in (t*, t*+WINDOW]} y(t) / (y(t*) + sup c_l2sq over the
     window) must be finite; the largest one is reported.  This is a
     monitor: it fails only on non-finite values."""
     consts, starts = [0.0], [records[0].t]
     for i, r in enumerate(records):
-        hi = r.t + window
+        hi = r.t + WINDOW
         in_win = [s for s in records[i + 1:] if s.t <= hi + 1e-12]
         if not in_win or in_win[-1].t < hi - 1e-9:
             break
@@ -307,7 +313,7 @@ def check_quasi_energy(records, window: float) -> CheckResult:
                        "largest empirical window constant")
 
 
-def standard_checks(records, grid: Grid, diag: ResolvedDiagnostics):
+def standard_checks(records, grid: Grid):
     """The default battery run() writes to checks.json."""
     return [
         check_mass_conservation(records),
@@ -316,8 +322,8 @@ def standard_checks(records, grid: Grid, diag: ResolvedDiagnostics):
         check_c_l2_inequality(records),
         check_entropy_floor(records, grid.volume),
         check_decay(records),
-        check_energy_boundedness(records, diag.window),
-        check_quasi_energy(records, diag.window),
+        check_energy_boundedness(records),
+        check_quasi_energy(records),
     ]
 
 

@@ -138,7 +138,6 @@ class PropertyResult:
     passed: bool
     samples: int
     worst: float     # most adverse margin seen (<= tolerance when passed)
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,10 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
         s = _sample_points(eps, n_samples, rng)
         results = []
 
-        def add(name, margins, tol=0.0, detail=""):
+        def add(name, margins, tol=0.0):
             worst = float(np.max(margins))
             results.append(PropertyResult(
-                name=name, passed=worst <= tol, samples=s.size,
-                worst=worst, detail=detail))
+                name=name, passed=worst <= tol, samples=s.size, worst=worst))
 
         db = d_base(s, m)
         de = d_eps(s, eps, m)
@@ -216,8 +214,7 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
             & (np.abs(s - 2.0 / eps) > 2 * dhf)
         si = s[interior]
         fd = (f_eps(si + dhf, eps) - f_eps(si - dhf, eps)) / (2.0 * dhf)
-        add("f_prime_is_chi", np.abs(fd - chi_eps(si, eps)),
-            tol=1e-7, detail="centered FD vs chi_eps")
+        add("f_prime_is_chi", np.abs(fd - chi_eps(si, eps)), tol=1e-7)
 
         g = g_eps(s, eps)
         add("g_below_half_square", g - 0.5 * s * s,
@@ -227,7 +224,7 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
             tol=1e-12 / eps ** 2)
         gd = (g_eps(si + dhf, eps) - g_eps(si - dhf, eps)) / (2.0 * dhf)
         add("g_prime_is_s_chi", np.abs(gd - si * chi_eps(si, eps)),
-            tol=1e-7 * (1.0 + 2.0 / eps), detail="centered FD vs s*chi_eps")
+            tol=1e-7 * (1.0 + 2.0 / eps))
 
         # C^2 at the breakpoints: one-sided derivative limits agree through
         # order 2.  A merely-C^1 bridge (cubic smoothstep) would show an
@@ -242,8 +239,7 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
                 worst_c2 = max(worst_c2, abs(left - right) / scale)
         results.append(PropertyResult(
             name="chi_c2_breakpoints", passed=worst_c2 <= 1e-2,
-            samples=12, worst=worst_c2,
-            detail="one-sided stencils anchored at each breakpoint"))
+            samples=12, worst=worst_c2))
 
         # monotone convergence f_eps -> id: halving eps moves f up toward s
         f_half = f_eps(s, eps / 2.0)

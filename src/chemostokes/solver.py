@@ -37,8 +37,7 @@ What u and c fix for the n-phase is computed once per step, not once
 per n-update: per axis, the interior face speed, c's face gradient and
 the masks `> 0` that pick the upwind cell of each (frozen_terms).  c's
 face gradient is taken once after the c-step and serves both the drift
-rate and the n-phase.  Each n-update takes the same floating-point
-operations as before the hoist, so it changes no output bit.
+rate and the n-phase.
 """
 
 from __future__ import annotations
@@ -50,8 +49,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .config import SimConfig, _int, config_to_dict, known_keys
-from .diagnostics import RunningTallies, resolve_diagnostics, evaluate, \
-    standard_checks, write_csv, read_csv, append_csv, ResolvedDiagnostics
+from .diagnostics import C_MAX_SLACK, RunningTallies, resolve_diagnostics, \
+    evaluate, standard_checks, write_csv, read_csv, append_csv, \
+    ResolvedDiagnostics
 from .errors import ConfigError, NumericalError
 from .grid import Grid, axslice, divergence, face_avg, face_diff, \
     face_upwind, full_faces, interior
@@ -84,67 +84,73 @@ class FieldState:
 _SCALAR_PRESETS = ("constant", "gaussian", "two_bumps", "cosine")
 
 
-def _build_scalar(grid: Grid, spec: dict, name: str) -> np.ndarray:
+def _preset_num(spec: dict, key: str, default, where: str) -> float:
+    """float() of spec[key] (default if absent); exit 1 where it fails."""
+    try:
+        return float(spec.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key}: must be a number, "
+                          f"got {spec[key]!r}") from None
+
+
+def _build_scalar(grid: Grid, spec: dict, where: str) -> np.ndarray:
     preset = spec.get("preset")
     xs = grid.centers()
     center = [0.5 * e for e in grid.extent]
     if preset == "constant":
-        known_keys(spec, ("preset", "value"), f"ic.{name}")
-        value = float(spec.get("value", 1.0))
+        known_keys(spec, ("preset", "value"), where)
+        value = _preset_num(spec, "value", 1.0, where)
         if value < 0.0:
-            raise ConfigError(f"ic.{name}: constant value must be >= 0, "
+            raise ConfigError(f"{where}: constant value must be >= 0, "
                               f"got {value}")
         return np.full(grid.cells, value)
     if preset == "gaussian":
-        known_keys(spec, ("preset", "amplitude", "width", "floor"),
-                   f"ic.{name}")
-        amp = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 0.1 * min(grid.extent)))
-        floor = float(spec.get("floor", 0.0))
+        known_keys(spec, ("preset", "amplitude", "width", "floor"), where)
+        amp = _preset_num(spec, "amplitude", 1.0, where)
+        width = _preset_num(spec, "width", 0.1 * min(grid.extent), where)
+        floor = _preset_num(spec, "floor", 0.0, where)
         if amp < 0 or floor < 0 or width <= 0:
             raise ConfigError(
-                f"ic.{name}: gaussian needs amplitude >= 0, floor >= 0, "
+                f"{where}: gaussian needs amplitude >= 0, floor >= 0, "
                 f"width > 0")
         r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         return floor + amp * np.exp(-r2 / (2.0 * width * width))
     if preset == "two_bumps":
-        known_keys(spec, ("preset", "amplitude", "width", "mean"),
-                   f"ic.{name}")
-        amp = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 0.1 * min(grid.extent)))
+        known_keys(spec, ("preset", "amplitude", "width", "mean"), where)
+        amp = _preset_num(spec, "amplitude", 1.0, where)
+        width = _preset_num(spec, "width", 0.1 * min(grid.extent), where)
         if amp <= 0 or width <= 0:
             raise ConfigError(
-                f"ic.{name}: two_bumps needs amplitude > 0 and width > 0")
+                f"{where}: two_bumps needs amplitude > 0 and width > 0")
         shift = 0.25 * grid.extent[0]
         out = np.zeros(grid.cells)
         for sgn in (-1.0, 1.0):
             at = [center[0] + sgn * shift, *center[1:]]
             r2 = sum((x - c) ** 2 for x, c in zip(xs, at))
             out += amp * np.exp(-r2 / (2.0 * width * width))
-        mean = spec.get("mean")
-        if mean is not None:
-            mean = float(mean)
+        if spec.get("mean") is not None:
+            mean = _preset_num(spec, "mean", None, where)
             if mean <= 0:
-                raise ConfigError(f"ic.{name}: mean must be > 0, got {mean}")
+                raise ConfigError(f"{where}: mean must be > 0, got {mean}")
             out *= mean / (np.sum(out) * grid.cell_volume / grid.volume)
         return out
     if preset == "cosine":
         known_keys(spec, ("preset", "value", "amplitude", "axis", "mode"),
-                   f"ic.{name}")
-        base = float(spec.get("value", 1.0))
-        amp = float(spec.get("amplitude", 0.5))
-        axis = _int(spec.get("axis", 0), f"ic.{name}.axis")
-        mode = _int(spec.get("mode", 1), f"ic.{name}.mode")
+                   where)
+        base = _preset_num(spec, "value", 1.0, where)
+        amp = _preset_num(spec, "amplitude", 0.5, where)
+        axis = _int(spec.get("axis", 0), f"{where}.axis")
+        mode = _int(spec.get("mode", 1), f"{where}.mode")
         if not 0 <= axis < grid.dim:
-            raise ConfigError(f"ic.{name}: cosine axis {axis} out of range")
+            raise ConfigError(f"{where}: cosine axis {axis} out of range")
         if base < abs(amp):
             raise ConfigError(
-                f"ic.{name}: cosine needs value >= |amplitude| to stay "
+                f"{where}: cosine needs value >= |amplitude| to stay "
                 f"nonnegative, got {base} < |{amp}|")
         x = xs[axis]
         return base + amp * np.cos(mode * np.pi * x / grid.extent[axis])
     raise ConfigError(
-        f"ic.{name}: unknown preset {preset!r}; known: {_SCALAR_PRESETS}")
+        f"{where}: unknown preset {preset!r}; known: {_SCALAR_PRESETS}")
 
 
 def _build_velocity(grid: Grid, spec: dict):
@@ -155,7 +161,7 @@ def _build_velocity(grid: Grid, spec: dict):
     if preset == "vortex":
         known_keys(spec, ("preset", "amplitude"), "ic.u0")
         # streamfunction on corner nodes -> discretely divergence-free
-        amp = float(spec.get("amplitude", 1.0))
+        amp = _preset_num(spec, "amplitude", 1.0, "ic.u0")
         nx, ny = grid.cells[0], grid.cells[1]
         hx, hy = grid.h[0], grid.h[1]
         xn = np.arange(nx + 1) * hx
@@ -185,14 +191,14 @@ def init_state(grid: Grid, model, ic, seed: int = 0,
     The optional multiplicative perturbation of n uses the counter-based
     Philox generator, so a (seed, shape) pair fully determines it.
     """
-    n0 = _build_scalar(grid, ic.n0, "n0")
+    n0 = _build_scalar(grid, ic.n0, "ic.n0")
     if ic.perturb is not None:
         amp = float(ic.perturb["amplitude"])
         rng = np.random.Generator(np.random.Philox(seed))
         n0 = n0 * (1.0 + amp * rng.uniform(-1.0, 1.0, size=n0.shape))
     if float(np.max(n0)) <= 0.0:
         raise ConfigError("ic.n0: initial density must not vanish identically")
-    c0 = _build_scalar(grid, ic.c0, "c0")
+    c0 = _build_scalar(grid, ic.c0, "ic.c0")
     u0 = _build_velocity(grid, ic.u0)
     cache = cache if cache is not None else SpectralCache(grid)
     state = FieldState(t=0.0, n=n0, c=c0, u=u0, p=np.zeros(grid.cells))
@@ -278,7 +284,7 @@ def step_c(grid: Grid, cache: SpectralCache, state: FieldState, model,
 
     c_new = np.maximum(c_new, 0.0)
     max_after = float(np.max(c_new))
-    if max_after > max_before + 1e-12 * (1.0 + max_before):
+    if max_after > max_before + C_MAX_SLACK * (1.0 + max_before):
         raise NumericalError(
             f"attractant max rose from {max_before} to {max_after} in one "
             f"step at t = {state.t}; monotone sub-steps must be broken")
@@ -366,12 +372,9 @@ def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
     """Advance the coupled state by dt (Lie order u -> c -> n); returns
     the u- and c-steps' residuals.
 
-    The n-update runs k = ceil(dt * (r_adv + r_drift + r_diff) / 0.9)
-    times with dt/k, the rates taken once after the c-step (u and c stay
-    frozen for the n-phase); a NaN or infinite ratio gives k = 1.  k is
-    not recounted between substeps: aggregation can raise max n, and so
-    r_diff, within the n-phase, but only by a fraction of the 0.1 left
-    below 1.  The positivity guard checks every substep.
+    A NaN or infinite substep ratio gives k = 1.  Not recounting k is
+    safe: aggregation can raise max n, and so r_diff, within the n-phase,
+    but only by a fraction of the 0.1 left below 1.
     """
     if dt <= 0.0:
         raise NumericalError(f"nonpositive dt = {dt} at t = {state.t}")
@@ -527,7 +530,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
             write_manifest(run_dir, manifest)
         raise
 
-    checks = standard_checks(records, grid, diag)
+    checks = standard_checks(records, grid)
     if run_dir:
         write_json(os.path.join(run_dir, "checks.json"),
                    [asdict(c) for c in checks])

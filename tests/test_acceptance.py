@@ -196,11 +196,11 @@ def test_criterion_6_stabilization(run6):
     result, elapsed = run6
     t0 = time.perf_counter() - elapsed
     records = result.records
-    decay = check_decay(records, threshold=0.1)
+    decay = check_decay(records)
     assert decay.passed, decay.detail
     entropy = check_entropy_floor(records, result.grid.volume)
     assert entropy.passed, entropy.detail
-    energy = check_energy_boundedness(records, window=1.0)
+    energy = check_energy_boundedness(records)
     assert energy.passed, energy.detail
     assert_linearized_rates(result, 10.0, 20.0, tol=0.01)
     announce(6, "stabilization to the flat state", t0, 300.0)

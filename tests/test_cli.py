@@ -63,7 +63,6 @@ def test_parse_config_defaults():
     assert cfg.model.k_d == 1.0
     assert cfg.model.phi_gradient == (0.0, -1.0)
     assert cfg.diagnostics.lp == (2.0, 4.0, "m")
-    assert cfg.diagnostics.window == 1.0
     assert cfg.seed == 0 and cfg.output_dir is None
 
 
@@ -465,6 +464,24 @@ def test_cli_probes_exit_1_without_output(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [None, "abc", [1]],
+                         ids=["null", "string", "list"])
+@pytest.mark.parametrize("field, key", [
+    ("n0", "amplitude"), ("n0", "width"), ("c0", "value"), ("u0", "amplitude")])
+def test_cli_preset_number_kind_exits_1(tmp_path, capsys, field, key, value):
+    """A preset number that float() refuses exits 1 naming its JSON path,
+    not with a TypeError or ValueError traceback, and makes no output."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["ic"][field][key] = value
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "simulate", "--config",
+                 write_json(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ic.{field}.{key}: must be a number") \
+        and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis, values", [
     ("eps", [0.5, 2.0]), ("m", [1.2, 0.9]), ("m", [1.3, 1.0])])
 def test_cli_sweep_bad_value_exits_1_before_any_output(tmp_path, capsys,
@@ -512,7 +529,7 @@ def test_cli_sweep_failed_member(tmp_path, capsys, monkeypatch):
     "output.extra", "ic.n0.amplitde", "ic.c0.extra", "ic.u0.extra",
     # keys of values that are derived or spelled once
     "model.k_d", "diagnostics.kappa", "diagnostics.c1_quasi",
-    "diagnostics.sigma_c"])
+    "diagnostics.sigma_c", "diagnostics.window"])
 def test_unknown_config_key_exits_1(tmp_path, capsys, path):
     """A misspelled key exits 1 naming its JSON path, before any output
     directory is made; it never runs silently with a default."""

@@ -4,7 +4,6 @@ the repr-exact CSV round trip.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,14 +259,14 @@ def test_check_energy_boundedness_windows():
                        dissipation_n=diss_by_window[-1], e_total=1.0))
         return out
 
-    ok = check_energy_boundedness(series([5.0, 4.0, 1.0, 0.5]), 1.0)
+    ok = check_energy_boundedness(series([5.0, 4.0, 1.0, 0.5]))
     assert ok.passed, ok.detail
-    bad = check_energy_boundedness(series([5.0, 4.0, 0.5, 3.0]), 1.0)
+    bad = check_energy_boundedness(series([5.0, 4.0, 0.5, 3.0]))
     assert not bad.passed
-    short = check_energy_boundedness([rec(0.0), rec(0.5), rec(1.0)], 1.0)
+    short = check_energy_boundedness([rec(0.0), rec(0.5), rec(1.0)])
     assert short.passed and "not testable" in short.detail
     inf = check_energy_boundedness(
-        [rec(0.0, e_total=np.inf), rec(1.0)], 1.0)
+        [rec(0.0, e_total=np.inf), rec(1.0)])
     assert not inf.passed
 
 
@@ -275,7 +274,7 @@ def test_check_energy_boundedness_sparse_window():
     """A window holding fewer than two samples cannot be integrated: the
     check fails at that window instead of passing it."""
     recs = [rec(t, e_total=1.0) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 4.0)]
-    res = check_energy_boundedness(recs, 1.0)
+    res = check_energy_boundedness(recs)
     assert not res.passed and res.at_time == 2.0
     assert "< 2 samples" in res.detail
 
@@ -286,7 +285,7 @@ def test_check_quasi_energy_window_constant():
             rec(1.0, y_quasi=2.0, c_l2sq=1.0),
             rec(1.5, y_quasi=1.0, c_l2sq=1.0),
             rec(2.0, y_quasi=0.5, c_l2sq=1.0)]
-    res = check_quasi_energy(recs, 1.0)
+    res = check_quasi_energy(recs)
     assert res.passed
     # window starting at t=0: max y in (0,1] is 4, denom 1 + 1 = 2
     assert res.max_deviation == pytest.approx(2.0)
@@ -322,11 +321,10 @@ def healthy_series():
 ])
 def test_nan_sample_fails_its_check(name, field, index):
     grid = Grid((4, 4), (2.0, 2.0))
-    diag = SimpleNamespace(window=1.0)
     records = healthy_series()
-    assert all(c.passed for c in standard_checks(records, grid, diag))
+    assert all(c.passed for c in standard_checks(records, grid))
     setattr(records[index], field, float("nan"))
-    res = {c.name: c for c in standard_checks(records, grid, diag)}[name]
+    res = {c.name: c for c in standard_checks(records, grid)}[name]
     assert res.passed is False, res
 
 
@@ -336,7 +334,7 @@ def test_standard_checks_battery_names():
     diag = resolve_diagnostics(DiagnosticsParams(), MODEL, grid,
                                state.n, state.c)
     records = [evaluate(grid, MODEL, diag, state, RunningTallies())]
-    names = [c.name for c in standard_checks(records, grid, diag)]
+    names = [c.name for c in standard_checks(records, grid)]
     assert names == ["mass_conservation", "c_max_monotone",
                      "c_mass_identity", "c_l2_inequality", "entropy_floor",
                      "decay", "energy_boundedness", "quasi_energy"]

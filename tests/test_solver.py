@@ -465,17 +465,18 @@ def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
 
 def test_resume_reads_the_previous_manifest_format(tmp_path):
     """Resume reads resolved_diagnostics by field name: a manifest written
-    with the retired entries c1_quasi and mass_c0 resumes bit for bit."""
+    with the retired entries c1_quasi, window and mass_c0 resumes bit for
+    bit."""
     cfg = make_cfg(tmp_path, grid={"cells": [8, 8], "extent": [2.0, 2.0]},
                    **{"time.t_final": 0.004, "time.sample_every": 0.001})
     result = run(cfg)
     manifest = load_manifest(cfg.output_dir)
     resolved = manifest["resolved_diagnostics"]
-    assert list(resolved) == ["kappa", "sigma_c", "lp", "window", "mean_n0"]
+    assert list(resolved) == ["kappa", "sigma_c", "lp", "mean_n0"]
     manifest["resolved_diagnostics"] = {
         "kappa": resolved["kappa"], "c1_quasi": None,
         "sigma_c": resolved["sigma_c"], "lp": resolved["lp"],
-        "window": resolved["window"], "mean_n0": resolved["mean_n0"],
+        "window": 1.0, "mean_n0": resolved["mean_n0"],
         "mass_c0": result.records[0].c_mass}
     write_manifest(cfg.output_dir, manifest)
     assert_resume_bit_exact(cfg)
