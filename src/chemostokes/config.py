@@ -134,8 +134,8 @@ def load_json(source, what: str) -> dict:
     try:
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # JSON text is UTF-8, so a byte that does not decode is bad JSON
+    except ValueError as exc:
+        # bad JSON, non-UTF-8 bytes, or an int over Python's digit limit
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: top level must be a JSON object")

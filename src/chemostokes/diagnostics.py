@@ -56,16 +56,24 @@ class ResolvedDiagnostics:
     mean_n0: float              # initial mean density (decay reference)
 
 
-def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostics:
-    c0max = float(np.max(c0))
+def derive_diagnostics(params, model, grid: Grid, mass0: float,
+                       c0max: float) -> ResolvedDiagnostics:
+    """The constants from mass(0) and max c0 (diagnostics.csv's row 0)."""
     lp = {model.m if p == "m" else float(p) for p in params.lp}
     return ResolvedDiagnostics(
         kappa=0.5 * c0max + 1.0,
         # 1e-12 where max c0 = 0, so that |grad c|^2/(c + sigma) is never 0/0
         sigma_c=1e-12 * c0max or 1e-12,
         lp=tuple(sorted(lp)),
-        mean_n0=float(np.sum(n0)) * grid.cell_volume / grid.volume,
+        mean_n0=mass0 / grid.volume,
     )
+
+
+def resolve_diagnostics(params, model, grid: Grid, n0, c0) -> ResolvedDiagnostics:
+    """derive_diagnostics() on the initial fields."""
+    return derive_diagnostics(params, model, grid,
+                              float(np.sum(n0)) * grid.cell_volume,
+                              float(np.max(c0)))
 
 
 @dataclass

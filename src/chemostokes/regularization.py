@@ -181,6 +181,8 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
     if n_samples < 1:
         raise ConfigError(
             f"run_property_suite: n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"run_property_suite: seed must be >= 0, got {seed}")
 
     reports = []
     for eps in eps_list:

@@ -49,9 +49,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .config import SimConfig, _int, config_to_dict, known_keys
-from .diagnostics import C_MAX_SLACK, RunningTallies, resolve_diagnostics, \
-    evaluate, standard_checks, write_csv, read_csv, append_csv, \
-    ResolvedDiagnostics
+from .diagnostics import C_MAX_SLACK, RunningTallies, derive_diagnostics, \
+    resolve_diagnostics, evaluate, standard_checks, write_csv, read_csv, \
+    append_csv
 from .errors import ConfigError, NumericalError
 from .grid import Grid, axslice, divergence, face_avg, face_diff, \
     face_upwind, full_faces, interior
@@ -297,7 +297,7 @@ def c_gradients(grid: Grid, state: FieldState) -> list:
     return [face_diff(grid, state.c, a) for a in range(grid.dim)]
 
 
-def frozen_terms(grid: Grid, state: FieldState, grad_c: list) -> list:
+def frozen_terms(state: FieldState, grad_c: list) -> list:
     """What the n-phase reads of u and c, which stay frozen through it:
     per axis, the interior face speed, c's face gradient (grad_c, from
     c_gradients) and the masks `> 0` that pick their upwind cells."""
@@ -384,7 +384,7 @@ def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
     grad_c = c_gradients(grid, state)
     ratio = dt * sum(stability_rates(grid, state, model, grad_c)) / CFL
     k = math.ceil(ratio) if 1.0 < ratio < math.inf else 1
-    terms = frozen_terms(grid, state, grad_c)
+    terms = frozen_terms(state, grad_c)
     for _ in range(k):
         step_n(grid, state, model, dt / k, terms)
     state.t += dt
@@ -456,10 +456,6 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                 u=[snap[f"u{a}"] for a in range(grid.dim)], p=snap["p"])
             tallies = RunningTallies(**{f.name: float.fromhex(
                 last["tallies"][f.name]) for f in fields(RunningTallies)})
-            resolved = {f.name: manifest["resolved_diagnostics"][f.name]
-                        for f in fields(ResolvedDiagnostics)}
-            diag = ResolvedDiagnostics(**{**resolved,
-                                          "lp": tuple(resolved["lp"])})
             steps_taken = int(last["step_count"])
             path = csv_path
             records = read_csv(csv_path)
@@ -473,6 +469,9 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
             raise ConfigError(f"resume: {csv_path} has {len(records)} rows "
                               f"for {len(samples)} samples")
         records = records[:len(samples)]
+        # the first row's mass and max c give the constants bit for bit
+        diag = derive_diagnostics(cfg.diagnostics, model, grid,
+                                  records[0].mass, records[0].c_max)
         manifest["status"] = "running"
         manifest.pop("error", None)
     else:
@@ -485,7 +484,6 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         records = []
         manifest = {"format": "chemostokes-run", "version": 1,
                     "config": config_to_dict(cfg),
-                    "resolved_diagnostics": asdict(diag),
                     "status": "running", "samples": []}
 
     if run_dir:

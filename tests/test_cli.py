@@ -464,6 +464,51 @@ def test_cli_probes_exit_1_without_output(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+def write_with_huge_int(path, obj):
+    """Write obj as JSON with its "HUGE" strings as a 5000-digit integer,
+    over Python's 4300-digit limit for int()."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj).replace('"HUGE"', "9" * 5000))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_integer_over_the_digit_limit_exits_1(tmp_path, capsys, command):
+    """json.load raises a plain ValueError on such an integer; a config or
+    sweep spec holding one exits 1 with one error line and no output."""
+    cfg = {**TINY, "seed": "HUGE"}
+    source = (["--config", write_with_huge_int(tmp_path / "c.json", cfg)]
+              if command == "simulate" else
+              ["--spec", write_with_huge_int(tmp_path / "s.json", {
+                  "axis": "eps", "values": [0.2, 0.1], "base_config": cfg})])
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), command, *source]) == 1
+    err = capsys.readouterr().err
+    what = "config" if command == "simulate" else "sweep spec"
+    assert err.startswith(f"error: {what} is not valid JSON") \
+        and "digits" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_resume_refuses_an_integer_over_the_digit_limit(tmp_path, capsys):
+    """A manifest holding such an integer is refused on resume, and the run
+    directory keeps its bytes."""
+    out = tmp_path / "out"
+    argv = ["--output-dir", str(out), "simulate", "--config",
+            write_json(tmp_path, "cfg.json", TINY)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    write_with_huge_int(out / "manifest.json", {**manifest, "version": "HUGE"})
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([*argv, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest") and "digits" in err \
+        and len(err.splitlines()) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
 @pytest.mark.parametrize("value", [None, "abc", [1]],
                          ids=["null", "string", "list"])
 @pytest.mark.parametrize("field, key", [
@@ -713,6 +758,8 @@ def test_cli_ladders_refuse_an_overflowing_pivot(capsys):
                  "m must be > 1", id="regcheck-m-below-1"),
     pytest.param(["regcheck", "--eps", "0.1,inf"], "argument --eps",
                  id="regcheck-eps-inf"),
+    pytest.param(["--seed", "-1", "regcheck", "--eps", "0.1", "--samples",
+                  "10"], "seed must be >= 0", id="regcheck-seed-negative"),
 ])
 def test_cli_number_flags_exit_1(capsys, argv, fragment):
     """Numbers given to exponents and regcheck are checked like config

@@ -4,6 +4,7 @@ the repr-exact CSV round trip.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from chemostokes.diagnostics import (DiagnosticsRecord, RunningTallies,
                                      check_entropy_floor,
                                      check_mass_conservation,
                                      check_quasi_energy, csv_header,
-                                     evaluate, read_csv, resolve_diagnostics,
-                                     standard_checks, write_csv, append_csv)
+                                     derive_diagnostics, evaluate, read_csv,
+                                     resolve_diagnostics, standard_checks,
+                                     write_csv, append_csv)
 from chemostokes.grid import Grid, interior
 from chemostokes.regularization import f_eps
-from chemostokes.solver import FieldState, run
+from chemostokes.solver import FieldState, init_state, run
 
 
 MODEL = ModelParams(m=1.2, k_d=1.0, eps=0.1, phi_gradient=(0.0, -1.0))
@@ -62,6 +64,66 @@ def test_resolve_defaults_and_lp():
     params2 = DiagnosticsParams(lp=(1.2, "m"))
     diag2 = resolve_diagnostics(params2, MODEL, grid, n0, c0)
     assert diag2.lp == (1.2,)
+
+
+def gaussian(amplitude, floor=0.0):
+    return {"preset": "gaussian", "amplitude": amplitude, "width": 0.3,
+            "floor": floor}
+
+
+def initial(n0, c0, **extra):
+    return {"n0": n0, "c0": c0, **extra}
+
+
+def cosine(value, amplitude, **extra):
+    return {"preset": "cosine", "value": value, "amplitude": amplitude,
+            **extra}
+
+
+@pytest.mark.parametrize("dim, ic", [
+    pytest.param(2, initial({"preset": "constant", "value": 0.7},
+                            gaussian(2.3, 0.1)), id="constant"),
+    pytest.param(2, initial(gaussian(1.5, 0.1), cosine(0.9, 0.4, axis=1)),
+                 id="gaussian"),
+    pytest.param(2, initial({"preset": "two_bumps", "amplitude": 1.3},
+                            {"preset": "two_bumps", "amplitude": 0.6}),
+                 id="two_bumps"),
+    pytest.param(2, initial({"preset": "two_bumps", "mean": 0.3},
+                            {"preset": "constant", "value": 1e-200}),
+                 id="two_bumps-mean-c0-1e-200"),
+    pytest.param(2, initial(cosine(1.1, 0.7, mode=2),
+                            {"preset": "constant", "value": 0.0}),
+                 id="cosine-c0-zero"),
+    pytest.param(2, initial(gaussian(1.5, 0.1), gaussian(0.8),
+                            perturb={"amplitude": 0.2}), id="perturb"),
+    pytest.param(3, initial(cosine(0.9, 0.3, axis=2),
+                            {"preset": "constant", "value": 0.0}),
+                 id="3d-c0-zero"),
+])
+def test_constants_derive_from_the_first_csv_row(tmp_path, dim, ic):
+    """Resume derives kappa, sigma_c, lp and mean_n0 from the mass and
+    c_max of diagnostics.csv's first row; they equal resolve_diagnostics
+    on the initial fields bit for bit."""
+    cfg = parse_config({
+        "grid": {"cells": [8, 6, 5][:dim], "extent": [2.0, 1.5, 1.2][:dim]},
+        "model": {"m": 1.3, "eps": 0.1},
+        "phi": {"gradient": [0.0] * (dim - 1) + [-1.0]},
+        "time": {"t_final": 0.01, "dt_max": 1e-3},
+        "ic": ic, "seed": 5})
+    grid = Grid(cfg.grid_cells, cfg.grid_extent)
+    state = init_state(grid, cfg.model, cfg.ic, seed=cfg.seed)
+    diag = resolve_diagnostics(cfg.diagnostics, cfg.model, grid,
+                               state.n, state.c)
+    tallies = RunningTallies()
+    tallies.observe_state(state)
+    path = str(tmp_path / "d.csv")
+    write_csv([evaluate(grid, cfg.model, diag, state, tallies)], diag.lp,
+              path)
+    first = read_csv(path)[0]
+    derived = derive_diagnostics(cfg.diagnostics, cfg.model, grid,
+                                 first.mass, first.c_max)
+    for f in fields(diag):
+        assert getattr(derived, f.name) == getattr(diag, f.name), f.name
 
 
 def test_evaluate_uniform_state_hand_values():

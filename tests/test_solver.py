@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from chemostokes import solver
 from chemostokes.config import ModelParams, SimConfig, parse_config
+from chemostokes.diagnostics import resolve_diagnostics
 from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.grid import (Grid, divergence, face_avg, face_diff,
                               face_upwind, full_faces, grad_squared_cells,
@@ -248,7 +249,7 @@ def test_oversized_density_update_raises_positivity():
     with pytest.raises(NumericalError,
                        match=r"density positivity lost at cell \("):
         solver.step_n(grid, state, cfg.model, 2e-4, solver.frozen_terms(
-            grid, state, solver.c_gradients(grid, state)))
+            state, solver.c_gradients(grid, state)))
 
 
 def test_numerical_failure_marks_run_failed(tmp_path, monkeypatch):
@@ -439,9 +440,6 @@ def directory_bytes(d):
     pytest.param(edit_manifest(lambda m: m["samples"][-1].pop("tallies")),
                  "damaged .*manifest.json: KeyError: 'tallies'",
                  id="no-tallies"),
-    pytest.param(edit_manifest(lambda m: m.pop("resolved_diagnostics")),
-                 "damaged .*manifest.json: KeyError: 'resolved_diagnostics'",
-                 id="no-resolved-diagnostics"),
     pytest.param(edit_manifest(lambda m: m["samples"][-1]["files"].pop("u1")),
                  "damaged .*manifest.json: KeyError: 'u1'",
                  id="no-field-entry"),
@@ -464,22 +462,26 @@ def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
 
 
 def test_resume_reads_the_previous_manifest_format(tmp_path):
-    """Resume reads resolved_diagnostics by field name: a manifest written
-    with the retired entries c1_quasi, window and mass_c0 resumes bit for
-    bit."""
+    """Manifests of earlier versions carry a resolved_diagnostics section
+    (kappa, sigma_c, lp, mean_n0, and before that c1_quasi, window and
+    mass_c0).  Resume ignores it and keeps it as it is, so such a run
+    resumes bit for bit."""
     cfg = make_cfg(tmp_path, grid={"cells": [8, 8], "extent": [2.0, 2.0]},
                    **{"time.t_final": 0.004, "time.sample_every": 0.001})
     result = run(cfg)
     manifest = load_manifest(cfg.output_dir)
-    resolved = manifest["resolved_diagnostics"]
-    assert list(resolved) == ["kappa", "sigma_c", "lp", "mean_n0"]
-    manifest["resolved_diagnostics"] = {
-        "kappa": resolved["kappa"], "c1_quasi": None,
-        "sigma_c": resolved["sigma_c"], "lp": resolved["lp"],
-        "window": 1.0, "mean_n0": resolved["mean_n0"],
-        "mass_c0": result.records[0].c_mass}
+    assert "resolved_diagnostics" not in manifest
+    grid, _, state = fresh(cfg)
+    diag = resolve_diagnostics(cfg.diagnostics, cfg.model, grid,
+                               state.n, state.c)
+    section = {"kappa": diag.kappa, "c1_quasi": None,
+               "sigma_c": diag.sigma_c, "lp": list(diag.lp), "window": 1.0,
+               "mean_n0": diag.mean_n0,
+               "mass_c0": result.records[0].c_mass}
+    manifest["resolved_diagnostics"] = section
     write_manifest(cfg.output_dir, manifest)
     assert_resume_bit_exact(cfg)
+    assert load_manifest(cfg.output_dir)["resolved_diagnostics"] == section
 
 
 def test_vanishing_attractant_has_finite_energy(tmp_path):
@@ -750,7 +752,7 @@ def test_step_n_on_frozen_terms_matches_the_per_call_update(case):
     grad_c = solver.c_gradients(grid, state)
     assert stability_rates(grid, state, model, grad_c) \
         == stability_rates(grid, state, model)
-    terms = solver.frozen_terms(grid, state, grad_c)
+    terms = solver.frozen_terms(state, grad_c)
     for _ in range(k):
         expected = per_call_step_n(grid, state, model, dt_max / k)
         try:

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library alone
-(no linter is needed): no module imports a name it never uses, and
-importing the package leaves the heavy parts of scipy unloaded.
+(no linter is needed): no module imports a name it never uses, no
+function takes a parameter it never reads, and importing the package
+leaves the heavy parts of scipy unloaded.
 """
 
 import ast
@@ -52,6 +53,63 @@ def test_unused_imports_are_found():
                                           PACKAGE.glob("*.py")))
 def test_module_imports_no_unused_name(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters of the functions (and lambdas) in `source` that their
+    bodies never read.  Names starting with `_` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}({p}) (line {node.lineno})" for p in params
+                  if p not in read and not p.startswith("_")]
+    return sorted(found)
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(grid, state, *rest, _spare, key=1, **kw):\n"
+              "    def g(x):\n"
+              "        return state\n"
+              "    state = kw\n"
+              "    return g\n"
+              "h = lambda a, b: a\n"
+              "class C:\n"
+              "    def m(self, n):\n"
+              "        return self\n")
+    assert unread_parameters(source) == [
+        "<lambda>(b) (line 6)", "f(grid) (line 1)", "f(key) (line 1)",
+        "f(rest) (line 1)", "g(x) (line 2)", "m(n) (line 8)"]
+
+
+# parameters nobody reads that stay, each with the reason
+UNREAD_ALLOWED = {
+    "solver.py": {"init_state(model)": "perfbench/child.py::_setup passes "
+                                       "it positionally"},
+    "snapshots.py": {"load_snapshot(dim)": "perfbench/workloads.py passes "
+                                           "it positionally"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in
+                                          PACKAGE.glob("*.py")))
+def test_module_functions_read_every_parameter(module):
+    allowed = UNREAD_ALLOWED.get(module, {})
+    found = {entry.split(" ")[0]: entry for entry in unread_parameters(
+        (PACKAGE / module).read_text())}
+    assert [entry for name, entry in found.items() if name not in allowed] \
+        == []
+    # an entry whose parameter is read again, or gone, leaves the list
+    assert set(allowed) <= set(found)
 
 
 def test_import_leaves_scipy_fft_unloaded():
