@@ -6,10 +6,10 @@
     chemostokes regcheck  --eps 0.1,0.05 [--samples 10000]
 
 Global flags: --output-dir (overrides the config's output.dir / sweep
-root), --threads (sweep members run at once, >= 1: the calling process
-and THREADS - 1 workers forked from it, so more than 1 needs a POSIX
-fork; defaults to the spec's parallel_runs; a single simulate is always
-single-process), --seed (when given, overrides the config's seed
+root), --threads (sweep members run at once, >= 1: 1 runs them in this
+process, more on THREADS workers forked from it, so more than 1 needs a
+POSIX fork; defaults to the spec's parallel_runs; a single simulate is
+always single-process), --seed (when given, overrides the config's seed
 in simulate and every member's in sweep; regcheck's sampling seed,
 default 0), merged into the config before it is parsed.  The numbers of
 exponents and regcheck must be finite, like config numbers.  Exit codes: 0
@@ -58,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=None,
                         help="override the output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="sweep members run at once, >= 1: this "
-                             "process and THREADS-1 workers forked from "
-                             "it (more than 1 needs a POSIX fork; "
+                        help="sweep members run at once, >= 1: more "
+                             "than 1 runs them on THREADS workers forked "
+                             "from this process (needs a POSIX fork; "
                              "default: the spec's parallel_runs; simulate "
                              "is single-process; results do not depend on "
                              "this)")

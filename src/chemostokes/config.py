@@ -77,9 +77,14 @@ def _req(obj: dict, key: str, where: str):
 
 
 def _num(value, where: str) -> float:
-    """A finite number; JSON's NaN and Infinity literals are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    """A finite number; JSON's NaN and Infinity literals, and integers
+    beyond float range, are rejected."""
+    try:
+        finite = not isinstance(value, bool) \
+            and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:           # math.isfinite(10**400)
+        finite = False
+    if not finite:
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
     return float(value)
 

@@ -16,6 +16,8 @@ Arrays are indexed [x, y(, z)]; axis 0 is x.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ConfigError
@@ -41,6 +43,9 @@ class Grid:
         if any(c < 2 for c in cells):
             raise ConfigError(
                 f"grid.cells: need >= 2 cells per axis, got {cells}")
+        if any(c > sys.float_info.max for c in cells):
+            raise ConfigError(
+                f"grid.cells: a count must fit in a float, got {cells}")
         if len(extent) != len(cells):
             raise ConfigError(
                 f"grid.extent: must have {len(cells)} entries, got {extent}")

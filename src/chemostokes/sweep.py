@@ -7,17 +7,17 @@ A sweep spec is JSON:
      "parallel_runs": 3}
 
 Each value gets its own run directory under the sweep output root.
-parallel_runs = K runs K members at once: the calling process is one of
-them and K - 1 workers forked from it are the others, so K > 1 needs a
-POSIX fork.  A forked worker starts with the package imported and every
-member parsed, and a driver script needs no __main__ guard.  Members are
-handed out one at a time, in value order, to whichever of them is free.
-A member depends only on its own config, so results are independent of
-K.  The summary CSV orders rows by the given value order and, for eps
-sweeps, records the L1 distance between final density fields of
-consecutive runs (the regularization-convergence monitor).  For m
-sweeps every run directory gets an exponents_certificate.json with
-whatever part of the exponent algebra is defined at that m.
+parallel_runs = K runs K members at once: K = 1 runs them in the calling
+process, and K > 1 on K workers forked from it, so it needs a POSIX fork.
+A forked worker starts with the package imported and every member parsed,
+and a driver script needs no __main__ guard.  Each worker takes the next
+member in value order as soon as it is free.  A member depends only on
+its own config, so results are independent of K.  The summary CSV
+orders rows by the given value order and, for eps sweeps, records the L1
+distance between final density fields of consecutive runs (the
+regularization-convergence monitor).  For m sweeps every run directory
+gets an exponents_certificate.json with whatever part of the exponent
+algebra is defined at that m.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import csv
 import json
 import multiprocessing as mp
 import os
-import threading
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
@@ -137,17 +135,17 @@ def run_one(cfg):
 
 
 def write_exponent_certificate(run_dir: str, m: float):
-    """Attach whatever exponent evidence is defined at this m."""
-    cert: dict = {"m": m, "threshold": asdict(expo.threshold_certificate(m))}
-    try:
-        cert["linear_ladder"] = asdict(
-            expo.run_linear_ladder(m, 1.0, _LADDER_CAP))
-    except ConfigError as exc:
-        cert["linear_ladder"] = {"undefined": str(exc)}
-    try:
-        cert["psi_ladder"] = asdict(expo.run_psi_ladder(m, _LADDER_CAP))
-    except ConfigError as exc:
-        cert["psi_ladder"] = {"undefined": str(exc)}
+    """Attach whatever exponent evidence is defined at this m; an
+    undefined part is {"undefined": <reason>}."""
+    cert: dict = {"m": m}
+    for name, build, args in (
+            ("threshold", expo.threshold_certificate, (m,)),
+            ("linear_ladder", expo.run_linear_ladder, (m, 1.0, _LADDER_CAP)),
+            ("psi_ladder", expo.run_psi_ladder, (m, _LADDER_CAP))):
+        try:
+            cert[name] = asdict(build(*args))
+        except ConfigError as exc:
+            cert[name] = {"undefined": str(exc)}
     write_json(os.path.join(run_dir, "exponents_certificate.json"), cert)
 
 
@@ -161,7 +159,8 @@ def _final_density(run_dir: str) -> np.ndarray:
 
 def _run_members(configs, nworkers: int) -> list:
     """Summaries of all member configs, in order, with nworkers members at
-    once: the calling process and nworkers - 1 forked workers.
+    once: in the calling process when nworkers is 1, else on nworkers
+    workers forked from it while the caller waits.
 
     The pool forks all its workers at the first submit, before it starts
     its manager thread, so the caller forks with no executor thread alive.
@@ -169,58 +168,25 @@ def _run_members(configs, nworkers: int) -> list:
     readies for fork; Python 3.12 and later may still emit a (hidden by
     default) DeprecationWarning about forking them.
 
-    One pending queue feeds both.  The pool is fed from its done
-    callbacks, which run on the manager thread, so a worker gets its next
-    member even while the caller is busy running one.  A worker that dies
-    breaks the pool: its members are reported failed, and the caller runs
-    every member the pool did not take.
+    A worker that dies breaks the pool: every member whose result had not
+    arrived is reported failed.  Leaving the pool's block joins its
+    manager thread and its workers, so a later sweep in this process
+    never forks beside a live thread.
     """
-    summaries = [None] * len(configs)
-    pending = deque(range(len(configs)))
-    queued = []                     # (member index, Future)
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return pending.popleft() if pending else None
-
-    def feed(_=None):
-        # taking a member and queueing it happen under one lock: once the
-        # caller finds the queue empty, every pool member is in `queued`
-        with lock:
-            if not pending:
-                return
-            i = pending[0]
+    if nworkers == 1:
+        return [run_one(cfg) for cfg in configs]
+    with ProcessPoolExecutor(nworkers,
+                             mp_context=mp.get_context("fork")) as pool:
+        futures = [pool.submit(run_one, cfg) for cfg in configs]
+        summaries = []
+        for cfg, future in zip(configs, futures):
             try:
-                future = pool.submit(run_one, configs[i])
-            except BrokenProcessPool:
-                return              # the member stays for the caller
-            pending.popleft()
-            queued.append((i, future))
-        future.add_done_callback(feed)
-
-    pool = ProcessPoolExecutor(nworkers - 1,
-                               mp_context=mp.get_context("fork")) \
-        if nworkers > 1 else None
-    try:
-        for _ in range(nworkers - 1):
-            feed()
-        while (i := take()) is not None:
-            summaries[i] = run_one(configs[i])
-        for i, future in queued:
-            try:
-                summaries[i] = future.result()
+                summaries.append(future.result())
             except BrokenProcessPool as exc:
-                summaries[i] = _summary(
-                    configs[i].output_dir,
-                    f"the worker process running this member died: {exc}")
-    finally:
-        with lock:                  # a failing caller stops the feeding
-            pending.clear()
-        if pool is not None:
-            # no executor thread or worker outlives the sweep, so a later
-            # sweep in this process never forks beside a live thread
-            pool.shutdown(wait=True, cancel_futures=True)
+                summaries.append(_summary(
+                    cfg.output_dir,
+                    f"a worker process died before this member's result "
+                    f"arrived: {exc}"))
     return summaries
 
 
@@ -228,9 +194,9 @@ def run_sweep(spec: SweepSpec, out_root: str, workers: int | None = None,
               seed: int | None = None):
     """Execute all members; returns (summaries, summary_csv_path).
 
-    workers is the number of members run at once, the calling process
-    included; None takes the spec's parallel_runs.  seed, when given,
-    overrides every member's config seed.
+    workers is the number of members run at once; None takes the spec's
+    parallel_runs.  seed, when given, overrides every member's config
+    seed.
     """
     nworkers = spec.parallel_runs if workers is None else \
         _members_at_once(workers, "workers (--threads)")

@@ -282,8 +282,8 @@ def test_criterion_9_worker_count_determinism(tmp_path):
 
     assert csv_bytes("w1", 1) == csv_bytes("w8", 8)
 
-    # a sweep with 1, 2 and 3 members at once (the calling process and
-    # 0, 1 or 2 forked workers) writes the same bytes
+    # a sweep with 1, 2 and 3 members at once (in the calling process,
+    # or on 2 or 3 forked workers) writes the same bytes
     base = config6(t_final=0.1)
     base["grid"]["cells"] = [16, 16]
     base["time"]["sample_every"] = 0.05

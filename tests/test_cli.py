@@ -9,9 +9,11 @@ launcher, runs by name from this checkout without an install.
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -235,6 +237,8 @@ def test_parse_sweep_and_overrides():
                  id="nan-finite numbers"),
     pytest.param({"axis": "grid", "values": [float("inf")]}, "finite number",
                  id="inf-finite numbers"),
+    pytest.param({"values": [0.2, 10 ** 400]}, "finite number",
+                 id="huge-finite numbers"),
 ])
 def test_parse_sweep_rejections(patch, fragment):
     raw = {"axis": "eps", "values": [0.2, 0.1], "base_config": dict(TINY),
@@ -294,6 +298,25 @@ def test_run_sweep_m_axis_writes_certificates(tmp_path):
     assert entries[0]["certificate"] is None
     assert set(entries[1]["certificate"]) == {"q", "bound", "admissible"}
     assert "final_p" not in certs[1.2]["psi_ladder"]
+
+
+def test_run_sweep_m_certificate_where_the_pivot_overflows(tmp_path):
+    """At m = 1e308 the pivot 9(m-1) overflows a float: the member's
+    certificate records every part as undefined, and the sweep still
+    writes its summary.  n stays at 1, where n^(m-1) is finite."""
+    base = {**TINY, "grid": {"cells": [6, 6], "extent": [1.0, 1.0]},
+            "ic": {"n0": {"preset": "constant", "value": 1.0},
+                   "c0": {"preset": "constant", "value": 1.0}}}
+    spec = parse_sweep({"axis": "m", "values": [1.5, 1e308],
+                        "base_config": base})
+    summaries, path = run_sweep(spec, str(tmp_path / "sw"), workers=1)
+    with open(path) as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["complete"] * 2
+    with open(os.path.join(summaries[1]["run_dir"],
+                           "exponents_certificate.json")) as fh:
+        cert = json.load(fh)
+    for part in ("threshold", "linear_ladder", "psi_ladder"):
+        assert "pivot 9(m-1) overflows" in cert[part]["undefined"]
 
 
 def test_run_sweep_m_values_alike_to_six_digits(tmp_path):
@@ -443,13 +466,25 @@ def cosine_c0(**params):
     pytest.param([], lambda d: d.update(seed=-1), "seed", id="config-seed"),
     pytest.param([], cosine_c0(mode=1.7), "ic.c0.mode", id="cosine-mode"),
     pytest.param([], cosine_c0(axis=True), "ic.c0.axis", id="cosine-axis"),
+    # JSON integers beyond float range, below Python's digit limit
+    *[pytest.param([], mutate, f"{path}: must be a finite number",
+                   id=f"huge-{path}")
+      for path, mutate in [
+          ("model.m", lambda d: d["model"].update(m=10 ** 400)),
+          ("grid.extent", lambda d: d["grid"].update(extent=[10 ** 400, 1])),
+          ("time.t_final", lambda d: d["time"].update(t_final=10 ** 309)),
+          ("diagnostics.lp",
+           lambda d: d.update(diagnostics={"lp": [10 ** 400]}))]],
+    pytest.param([], lambda d: d["grid"].update(cells=[10 ** 400, 8]),
+                 "grid.cells", id="huge-grid.cells"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_cli_probes_exit_1_without_output(tmp_path, capsys, command, flags,
                                           mutate, fragment):
     """Values that used to end in a traceback (a negative seed reaching the
-    Philox generator, int() of a float or a bool) exit 1 with one error
-    line, before any output directory is made."""
+    Philox generator, int() of a float or a bool, an integer that
+    overflows a float) exit 1 with one error line, before any output
+    directory is made."""
     cfg = json.loads(json.dumps(TINY))
     if mutate is not None:
         mutate(cfg)
@@ -632,43 +667,43 @@ def test_cli_sweep_rejects_nonpositive_threads(tmp_path, capsys, threads):
     assert not out.exists()
 
 
-def _sweep_driver_rows(tmp_path, prelude=""):
-    """Run a three-member sweep on 2 workers from a driver script without
-    a __main__ guard; returns its [status, error] rows."""
-    spec = {"axis": "eps", "values": [0.2, 0.1, 0.05],
-            "base_config": dict(TINY)}
+def _sweep_driver(tmp_path, prelude=""):
+    """Run `chemostokes --threads 2 sweep` over three members from a driver
+    script without a __main__ guard; returns its exit code and the
+    [status, error] rows of its summary."""
+    spec_path = write_json(tmp_path, "sweep.json", {
+        "axis": "eps", "values": [0.2, 0.1, 0.05], "base_config": dict(TINY)})
+    out = tmp_path / "sw"
     script = tmp_path / "driver.py"
     script.write_text(
-        "import json\n"
-        "from chemostokes.sweep import parse_sweep, run_sweep\n"
+        "import sys\n"
+        "from chemostokes.cli import main\n"
         + prelude +
-        f"spec = parse_sweep({spec!r})\n"
-        f"summaries, _ = run_sweep(spec, {str(tmp_path / 'sw')!r}, "
-        "workers=2)\n"
-        "print(json.dumps([[s['status'], s['error']] "
-        "for s in summaries]))\n")
+        f"sys.exit(main(['--output-dir', {str(out)!r}, '--threads', '2', "
+        f"'sweep', '--spec', {spec_path!r}]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rows = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.returncode in (0, 2), proc.stderr
+    with open(out / "sweep_summary.csv") as fh:
+        rows = [[r["status"], r["error"]] for r in csv.DictReader(fh)]
     assert len(rows) == 3
-    return rows
+    return proc.returncode, rows
 
 
 def test_sweep_driver_needs_no_main_guard(tmp_path):
     """Workers are forked from the driver, not booted afresh, so they
     never re-import a driver script that has no __main__ guard."""
-    assert _sweep_driver_rows(tmp_path) == [["complete", ""]] * 3
+    assert _sweep_driver(tmp_path) == (0, [["complete", ""]] * 3)
 
 
 def test_dead_worker_fails_its_member(tmp_path):
-    """Every worker dies at its first member.  The sweep must still end,
-    run the other members in the calling process and report the lost
-    member as failed."""
-    rows = _sweep_driver_rows(tmp_path, (
+    """Every worker dies at its first member.  The sweep must still end:
+    the dead worker breaks the pool, every member whose result had not
+    arrived is reported failed with the cause, and the sweep exits 2."""
+    rc, rows = _sweep_driver(tmp_path, (
         "import os\n"
         "import chemostokes.sweep\n"
         "caller, run = os.getpid(), chemostokes.sweep.run\n"
@@ -677,10 +712,21 @@ def test_dead_worker_fails_its_member(tmp_path):
         "        os._exit(3)\n"
         "    return run(cfg)\n"
         "chemostokes.sweep.run = dying_run\n"))
-    assert rows.count(["complete", ""]) == 2
-    failed = [error for status, error in rows if status == "failed"]
-    assert len(failed) == 1 and "worker process" in failed[0] \
-        and "died" in failed[0]
+    assert rc == 2
+    for status, error in rows:
+        assert status == "failed" and "worker process died" in error
+
+
+def test_pooled_sweep_leaves_no_thread_or_process(tmp_path):
+    """A sweep on 2 workers joins its pool's manager thread and workers
+    before it returns, so a later fork never copies a live thread."""
+    spec = parse_sweep({"axis": "eps", "values": [0.2, 0.1],
+                        "base_config": dict(TINY)})
+    before = set(threading.enumerate())
+    summaries, _ = run_sweep(spec, str(tmp_path / "sw"), workers=2)
+    assert [s["status"] for s in summaries] == ["complete"] * 2
+    assert set(threading.enumerate()) == before
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_exponents_table(capsys):
