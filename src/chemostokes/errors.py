@@ -25,6 +25,6 @@ class NumericalError(ChemoStokesError):
 
     Raised when a density update leaves some cell negative (positivity
     loss, the runtime check of the stability budget), or a linear solve
-    leaves a residual above tolerance.  The message names the offending
-    quantity, cell, and time.
+    fails its set-up check.  The message names the offending quantity,
+    cell, and time.
     """

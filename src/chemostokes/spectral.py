@@ -15,8 +15,8 @@ trigonometric transforms instead of iterations:
 
 With norm='ortho' each transform is its own inverse's adjoint, so a
 forward transform, a diagonal divide, and an inverse transform solve
-(I - a Lap) x = b or the Poisson problem exactly.  Residuals of these
-solves sit at machine precision; callers still verify them post hoc.
+(I - a Lap) x = b or the Poisson problem exactly.  Their residuals sit
+at round-off; solver.verify_solves checks the Helmholtz ones once per run.
 
 The transforms are scipy's compiled pocketfft kernel,
 ``scipy.fft._pocketfft.pypocketfft``, the C++ routine in which
@@ -174,7 +174,7 @@ def solve_face_helmholtz(cache: SpectralCache, rhs_interior: np.ndarray,
     return xhat
 
 
-# ---------- explicit operators for residual verification ----------
+# ---------- explicit operators for residual checks ----------
 
 def neumann_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """div(grad f) with zero-flux walls; matches the DCT-II operator."""

@@ -7,22 +7,26 @@ launcher, runs by name from this checkout without an install.
 """
 
 import csv
+import inspect
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chemostokes import solver
+from chemostokes import solver, spectral
 from chemostokes.cli import main
 from chemostokes.config import config_to_dict, parse_config
 from chemostokes.errors import ConfigError, NumericalError
+from chemostokes.grid import Grid
 from chemostokes.sweep import (SweepSpec, apply_override, parse_sweep,
                                run_sweep)
 
@@ -443,6 +447,96 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 2
     assert "numerical failure:" in err
+
+
+def mutated(fn, old: str, new: str):
+    """fn compiled again from its source with the one `old` replaced."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    scope = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn),
+                 "exec"), scope)
+    return scope[fn.__name__]
+
+
+def corrupt_eigenvalue(monkeypatch, lam):
+    """run() builds caches whose lam(cache) has its last entry x1.01."""
+    class Corrupt(spectral.SpectralCache):
+        def __init__(self, grid):
+            super().__init__(grid)
+            lam(self)[(-1,) * grid.dim] *= 1.01
+
+    monkeypatch.setattr(solver, "SpectralCache", Corrupt)
+
+
+SOLVER_MUTATIONS = {
+    # the inverse of the DST-II taken as the DST-II again
+    "idst-type-2": lambda mp: mp.setattr(spectral, "idst", mutated(
+        spectral.idst, "3 if type == 2 else type", "type")),
+    "cell-eigenvalue": lambda mp: corrupt_eigenvalue(
+        mp, lambda cache: cache.cell_lam),
+    "face-eigenvalue": lambda mp: corrupt_eigenvalue(
+        mp, lambda cache: cache.face_lam[1]),
+    # the first wall ghost of each transverse axis is +u instead of -u
+    "wall-ghost-sign": lambda mp: mp.setattr(
+        solver, "face_laplacian", mutated(
+            spectral.face_laplacian, "[-axslice(ui, b, slice(0, 1)), ui,",
+            "[axslice(ui, b, slice(0, 1)), ui,")),
+}
+
+
+@pytest.mark.parametrize("mutation", SOLVER_MUTATIONS)
+def test_cli_broken_solver_exits_2_at_set_up(tmp_path, capsys, monkeypatch,
+                                             mutation):
+    """run() checks the viscous and attractant solves once, before any
+    step or output.  Both eigenvalue corruptions sit in the highest mode,
+    which the smooth fields of this run hardly excite, so only a check on
+    a field that excites every mode shows them."""
+    steps = []
+    real_step = solver.step
+
+    def step(grid, cache, state, model, dt):
+        steps.append(dt)
+        return real_step(grid, cache, state, model, dt)
+
+    monkeypatch.setattr(solver, "step", step)
+    SOLVER_MUTATIONS[mutation](monkeypatch)
+    # acceptance config4 at 32^2, 10 steps of dt_max
+    cfg = {"grid": {"cells": [32, 32], "extent": [4.0, 4.0]},
+           "model": {"m": 1.2, "k_D": 1.0, "eps": 0.05},
+           "phi": {"gradient": [0.0, -1.0]},
+           "time": {"t_final": 2e-3, "dt_max": 2e-4},
+           "ic": {"n0": {"preset": "gaussian", "amplitude": 2.0,
+                         "width": 0.5},
+                  "c0": {"preset": "constant", "value": 1.0}}}
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "simulate", "--config",
+                 write_json(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "at set-up" in err
+    assert steps == [] and not out.exists()
+
+
+def test_cli_overflowing_diffusivity_exits_2(tmp_path, capsys):
+    """max n ** (m - 1) overflowing a float ends the run with exit 2,
+    naming m, max n and t, instead of an OverflowError traceback; a NaN
+    max n still passes through the stability rates."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["grid"]["cells"] = [8, 8]
+    cfg["model"]["m"] = 2000
+    cfg["ic"]["n0"] = {"preset": "constant", "value": 2.0}
+    del cfg["ic"]["perturb"]
+    assert main(["--output-dir", str(tmp_path / "out"), "simulate",
+                 "--config", write_json(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "m = 2000.0, max n = 2.0, t = 0.0" in err
+    parsed = parse_config(cfg)
+    grid = Grid(parsed.grid_cells, parsed.grid_extent)
+    state = solver.FieldState(t=0.0, n=np.full(grid.cells, np.nan),
+                              c=np.ones(grid.cells),
+                              u=grid.zero_velocity(),
+                              p=np.zeros(grid.cells))
+    assert math.isnan(solver.stability_rates(grid, state, parsed.model)[2])
 
 
 @pytest.mark.parametrize("argv", [

@@ -209,18 +209,46 @@ def test_implicit_l2_identity_pure_diffusion():
     assert lhs == pytest.approx(l2_0, rel=1e-12)
 
 
-def barenblatt_cell_averages(cells: int, t: float, m: float) -> np.ndarray:
-    """Cell averages (32-point midpoint rule) on [0, 1] of the Barenblatt-
-    Pattle profile of n_t = (1/m)(n^m)'' centred at x = 1/2, scaled so
-    that its front reaches |x - 1/2| = 0.25 at t = 0.02 (Vazquez, The
-    Porous Medium Equation, ch. 4, in time t/m)."""
-    alpha = 1.0 / (m + 1.0)
-    k = (m - 1.0) / (2.0 * m * (m + 1.0))
-    level = k * 0.25 ** 2 * (0.02 / m) ** (-2.0 * alpha)
+def barenblatt_cell_averages(cells: int, t: float, m: float,
+                             dim: int = 1) -> np.ndarray:
+    """Cell averages of the Barenblatt-Pattle profile of
+    n_t = (1/m) Lap(n^m) in `dim` dimensions (Vazquez, The Porous Medium
+    Equation, ch. 4, in time t/m), scaled so that its front reaches
+    radius 0.25 at t = 0.02.  In 1-D the cells split [0, 1] around the
+    centre x = 1/2 (32-point midpoint rule).  In 2D they split the
+    quarter [0, 1/2]^2 around the centre at the origin (16 x 16 points):
+    its walls through the centre are the profile's mirror lines, so the
+    quarter is the whole square at twice the cells."""
+    beta = 1.0 / (dim * (m - 1.0) + 2.0)
+    k = (m - 1.0) * beta / (2.0 * m)
+    level = k * 0.25 ** 2 * (0.02 / m) ** (-2.0 * beta)
     s = t / m
-    x = (np.arange(cells)[:, None] + (np.arange(32) + 0.5) / 32) / cells
-    core = level - k * (x - 0.5) ** 2 * s ** (-2.0 * alpha)
-    return (s ** -alpha * np.maximum(core, 0.0) ** (1.0 / (m - 1.0))).mean(1)
+    q = 32 if dim == 1 else 16
+    x = (np.arange(cells)[:, None] + (np.arange(q) + 0.5) / q) / cells
+    r2 = (x - 0.5) ** 2 if dim == 1 else \
+        (0.5 * x[:, None, :, None]) ** 2 + (0.5 * x[None, :, None, :]) ** 2
+    core = level - k * r2 * s ** (-2.0 * beta)
+    profile = s ** (-dim * beta) * np.maximum(core, 0.0) ** (1.0 / (m - 1.0))
+    return profile.mean(axis=tuple(range(dim, 2 * dim)))
+
+
+def step_density_alone(grid: Grid, n: np.ndarray, m: float) -> np.ndarray:
+    """n stepped from t = 0.01 to 0.02 with c = 0, u = 0, a flat potential
+    and eps 1e-6, under choose_dt with dt_max 1e-3: the porous medium
+    equation up to eps."""
+    model = ModelParams(m=m, k_d=1.0, eps=1e-6,
+                        phi_gradient=(0.0,) * grid.dim)
+    cache = SpectralCache(grid)
+    state = FieldState(t=0.01, n=n, c=np.zeros(grid.cells),
+                       u=grid.zero_velocity(), p=np.zeros(grid.cells))
+    while state.t < 0.02 - 1e-12:
+        dt = min(choose_dt(grid, state, model, 1e-3), 0.02 - state.t)
+        step(grid, cache, state, model, dt)
+    return state.n
+
+
+def relative_l1(n: np.ndarray, exact: np.ndarray) -> float:
+    return float(np.sum(np.abs(n - exact)) / np.sum(exact))
 
 
 @pytest.mark.parametrize("m", [1.2, 1.5, 2.0])
@@ -232,25 +260,36 @@ def test_density_step_converges_to_the_barenblatt_profile(m):
     with a relative L1 error falling at second order.  n is not smooth
     where it meets 0, so the observed orders move with where the front
     sits in its cell: bands 1.6 to 2.3 (1.78-1.99 measured)."""
-    model = ModelParams(m=m, k_d=1.0, eps=1e-6, phi_gradient=(0.0, 0.0))
     errors = []
     for cells in (64, 128, 256):
-        grid = Grid((cells, 4), (1.0, 4.0 / cells))
-        cache = SpectralCache(grid)
         n0 = barenblatt_cell_averages(cells, 0.01, m)
-        state = FieldState(t=0.01, n=np.repeat(n0[:, None], 4, axis=1),
-                           c=np.zeros(grid.cells), u=grid.zero_velocity(),
-                           p=np.zeros(grid.cells))
-        while state.t < 0.02 - 1e-12:
-            dt = min(choose_dt(grid, state, model, 1e-3), 0.02 - state.t)
-            step(grid, cache, state, model, dt)
-        exact = barenblatt_cell_averages(cells, 0.02, m)
-        assert np.all(state.n == state.n[:, :1])     # the strip stays 1-D
-        errors.append(float(np.sum(np.abs(state.n[:, 0] - exact))
-                            / np.sum(exact)))
+        n = step_density_alone(Grid((cells, 4), (1.0, 4.0 / cells)),
+                               np.repeat(n0[:, None], 4, axis=1), m)
+        assert np.all(n == n[:, :1])     # the strip stays 1-D
+        errors.append(relative_l1(n[:, 0],
+                                  barenblatt_cell_averages(cells, 0.02, m)))
     assert errors[0] < 1.5e-3 and errors[-1] < 1e-4, errors
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders > 1.6) & (orders < 2.3)), (errors, orders)
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 2.0])
+def test_density_step_converges_to_the_radial_barenblatt_profile(m):
+    """The same oracle in 2D, where the circular front crosses the cells
+    diagonally: on the quarter square at N = 32, 64, 128 (the whole
+    square at 64 to 256), relative L1 errors of 1.6e-3 to 2.3e-3 at
+    N = 32 and 1.3e-4 to 1.9e-4 at N = 128 were measured, with orders
+    1.71-1.98; bands 1.6 to 2.2."""
+    errors = []
+    for cells in (32, 64, 128):
+        n = step_density_alone(Grid((cells, cells), (0.5, 0.5)),
+                               barenblatt_cell_averages(cells, 0.01, m, 2),
+                               m)
+        errors.append(relative_l1(
+            n, barenblatt_cell_averages(cells, 0.02, m, 2)))
+    assert errors[0] < 3e-3 and errors[-1] < 2.5e-4, errors
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders > 1.6) & (orders < 2.2)), (errors, orders)
 
 
 def test_step_rejects_nonpositive_dt():
@@ -506,6 +545,28 @@ def test_resume_refuses_a_damaged_run_directory(tmp_path, damage, fragment):
     assert directory_bytes(cfg.output_dir) == before
 
 
+def test_resume_checks_the_solves_before_touching_the_directory(
+        tmp_path, monkeypatch):
+    """Resume runs the set-up check of the spectral solves too: a cut run
+    resumed on a corrupt eigenvalue exits 2 before it rewrites a file."""
+    cfg = make_cfg(tmp_path, grid={"cells": [8, 8], "extent": [2.0, 2.0]},
+                   **{"time.t_final": 0.004, "time.sample_every": 0.001})
+    run(cfg)
+    edit_manifest(lambda m: m.update(samples=m["samples"][:3],
+                                     status="running"))(cfg.output_dir)
+    before = directory_bytes(cfg.output_dir)
+
+    class Corrupt(SpectralCache):
+        def __init__(self, grid):
+            super().__init__(grid)
+            self.cell_lam[-1, -1] *= 1.01
+
+    monkeypatch.setattr(solver, "SpectralCache", Corrupt)
+    with pytest.raises(NumericalError, match="c_helmholtz_rel .* at set-up"):
+        run(cfg, resume=True)
+    assert directory_bytes(cfg.output_dir) == before
+
+
 def test_resume_reads_the_previous_manifest_format(tmp_path):
     """Manifests of earlier versions carry a resolved_diagnostics section
     (kappa, sigma_c, lp, mean_n0, and before that c1_quasi, window and
@@ -691,6 +752,10 @@ def test_coupled_3d_run_substeps_density(tmp_path, density_updates):
     assert [len(s["n_dts"]) for s in density_updates[:4]] == [2] * 4
     assert_conserved_and_positive(result)
     assert all(r.div_u_inf <= 1e-10 for r in result.records)
+    # the set-up check of the solves covers the third axis
+    assert set(result.max_residuals) \
+        == {"div_u_inf", "viscous_rel", "c_helmholtz_rel"}
+    assert max(result.max_residuals.values()) <= 1e-12
     assert_resume_bit_exact(cfg)
 
 
