@@ -121,6 +121,19 @@ class DiagnosticsRecord:
     lp_norms: dict               # p -> || n ||_Lp
 
 
+def lp_norm(n: np.ndarray, p: float, vol: float) -> float:
+    """(sum n^p vol)^(1/p).  Where that sum is not a positive finite float
+    (n^p under- or overflows at large p), it is taken as
+    M (sum (n/M)^p vol)^(1/p) with M = max n instead; NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.power(n, p)) * vol)
+    if not 0.0 < total < np.inf:
+        big = float(np.max(n))
+        if 0.0 < big < np.inf:
+            return big * float(np.sum(np.power(n / big, p)) * vol) ** (1.0 / p)
+    return total ** (1.0 / p)
+
+
 def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
              tallies: RunningTallies) -> DiagnosticsRecord:
     vol = grid.cell_volume
@@ -171,8 +184,7 @@ def evaluate(grid: Grid, model, diag: ResolvedDiagnostics, state,
         div_u_inf=float(np.max(np.abs(divergence(grid, u)))),
         consumed_mass_running=tallies.consumed_mass,
         gradc_l2_running=tallies.gradc_l2,
-        lp_norms={p: float(np.sum(np.power(n, p)) * vol) ** (1.0 / p)
-                  for p in diag.lp},
+        lp_norms={p: lp_norm(n, p, vol) for p in diag.lp},
     )
 
 

@@ -24,8 +24,12 @@ two quadratics and two iteration schemes:
   linear ladder  p_{k+1} = (2/3) p_k + 3(m-1), the q = 2 bootstrap round;
              increases to its fixed point 9(m-1) whenever m > 10/9.
 
-  psi ladder     p_k = psi(p_{k-1}), started just below the pivot; grows
+  psi ladder     p_k = psi(p_{k-1}), started at 9(m-1) - delta2/2; grows
              at least geometrically with ratio Gamma(m) > 1 once m > 9/8.
+             The seed has rho > 0 too: at the larger root r_plus of the
+             Gamma quadratic, rho(r_plus) = (68m - 75) r_plus - 36 (m-1)^2
+             > 0 for every m > 9/8, and r_plus >= 9/8 lies right of rho's
+             vertex, so rho > 0 from r_plus on.
 
 Every domain check is written as "not (inside)", so that NaN fails it.
 """
@@ -37,8 +41,6 @@ from dataclasses import dataclass
 
 from .errors import ExponentDomainError
 
-# thresholds, exact in binary floating point where it matters
-M_RHO = 215.0 / 192.0   # rho(9(m-1)) > 0 above this
 M_LINEAR = 10.0 / 9.0   # linear-ladder fixed point exceeds 1 above this
 
 _MAX_ITER = 10_000
@@ -119,20 +121,6 @@ def step_admissible(p_star: float, p: float, q: float, m: float) -> bool:
             f"step_admissible: m must be > 1, got {m}")
     bound = step_bound(p_star, q, m)
     return p <= bound + 1e-12 * (1.0 + abs(bound))
-
-
-def delta1(m: float) -> float:
-    """Distance delta1 = 9(m-1) - p_plus from the pivot down to the larger
-    root of rho.  Requires m > 215/192 so that rho(9(m-1)) > 0; then every
-    p > 9(m-1) - delta1 has rho(p) > 0.
-    """
-    if not m > M_RHO:
-        raise ExponentDomainError(
-            f"delta1 requires m > 215/192: rho(9(m-1)) = 9(m-1)(192m-215) "
-            f"must be positive, got m = {m}")
-    b = 33.0 - 12.0 * m
-    p_plus = (b + math.sqrt(b * b + 1440.0 * (m - 1.0))) / 40.0
-    return pivot(m) - p_plus
 
 
 @dataclass(frozen=True)
@@ -279,8 +267,9 @@ def run_linear_ladder(m: float, p0: float, cap: float) -> BootstrapLadder:
 def run_psi_ladder(m: float, cap: float) -> BootstrapLadder:
     """Iterate p_k = psi(p_{k-1}) from the canonical seed until p > cap.
 
-    Seed: p0 = max(1 + 1e-6, 9(m-1) - min(delta1, delta2)/2), i.e. just
-    below the pivot but inside both safety margins.  Each step carries an
+    Seed: p0 = max(1 + 1e-6, 9(m-1) - delta2/2), just below the pivot
+    and inside the Gamma margin, where rho > 0 as well (module docstring).
+    Each step carries an
     admissibility certificate at q = space_time_exponent(p_{k-1}, m)
     (equality at round-off) and a geometric floor Gamma^k p0.  Requires
     m > 9/8 and cap > 1.
@@ -290,7 +279,7 @@ def run_psi_ladder(m: float, cap: float) -> BootstrapLadder:
         raise ExponentDomainError(
             f"run_psi_ladder requires cap > 1, got {cap}")
 
-    p0 = max(1.0 + 1e-6, pivot(m) - min(delta1(m), delta2(m)) / 2.0)
+    p0 = max(1.0 + 1e-6, pivot(m) - delta2(m) / 2.0)
     entries = [LadderEntry(0, p0, p0, True, None)]
     if p0 > cap:
         return BootstrapLadder("psi", m, cap, entries, "reached_cap")

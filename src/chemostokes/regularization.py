@@ -14,13 +14,10 @@ density (s <= 1/eps):
 
   f_eps(s) = int_0^s chi_eps               capped-identity: s below 1/eps,
               plateau 3/(2 eps) above 2/eps.
-  g_eps(s) = int_0^s sigma chi_eps(sigma)  capped s^2/2, plateau 8/(7 eps^2).
 
-Bridge closed forms (r = eps s - 1 in [0, 1]):
+Bridge closed form (r = eps s - 1 in [0, 1]):
   f_eps = s - W(r)/eps,          W(r) = r^4 (r^2 - 3 r + 2.5)
-  g_eps = (1/2 + H(r))/eps^2,    H(r) = r^2/2 + r - (6/7) r^7
-                                        + (3/2) r^6 + r^5 - (5/2) r^4
-with W(1) = 1/2 and H(1) = 9/14 giving the plateau values.
+with W(1) = 1/2 giving the plateau value.
 
 Below the cutoff the families are exact: where eps s - 1 <= 0 on every
 entry, the clipped r is 0, and chi_eps returns ones and f_eps a copy of
@@ -112,22 +109,6 @@ def f_eps(s, eps: float):
     return _match(s, np.where(a >= 2.0 / eps, 1.5 / eps, bridge))
 
 
-def g_eps(s, eps: float):
-    """Capped quadratic g_eps(s) = int_0^s sigma chi_eps(sigma) d sigma.
-
-    Equals s^2/2 on [0, 1/eps], plateau 8/(7 eps^2) from 2/eps on, and
-    g_eps(s) <= s^2/2 everywhere.
-    """
-    a = np.asarray(s, dtype=float)
-    r = np.clip(eps * a - 1.0, 0.0, 1.0)
-    h_int = (0.5 * r * r + r
-             + (r * r * r * r) * (-2.5 + r * (1.0 + r * (1.5 - (6.0 / 7.0) * r))))
-    bridge = (0.5 + h_int) / (eps * eps)
-    out = np.where(a >= 2.0 / eps, 8.0 / (7.0 * eps * eps),
-                   np.where(a <= 1.0 / eps, 0.5 * a * a, bridge))
-    return _match(s, out)
-
-
 # ============================================================
 # property suite (backs the `regcheck` CLI subcommand)
 # ============================================================
@@ -162,12 +143,12 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
                        m: float = 1.2) -> list[PropertyReport]:
     """Sampled verification of every contract of the eps-families.
 
-    For each eps: bounds and branch values of chi/f/g, the squeeze
-    d_base <= d_eps <= d_base + 2 eps with d_eps >= eps, finite-difference
-    agreement of f' with chi and g' with s*chi, C^2 smoothness of chi at
-    the breakpoints, monotone pointwise convergence f_eps -> identity as
-    eps decreases, and g_eps <= s^2/2.  The d_eps checks use k_D = 1 and
-    the exponent m, which must be > 1 as model.m must.
+    For each eps: the squeeze d_base <= d_eps <= d_base + 2 eps with
+    d_eps >= eps, bounds and branch values of chi and f, finite-difference
+    agreement of f' with chi, C^2 smoothness of chi at the breakpoints,
+    and monotone pointwise convergence f_eps -> identity as eps
+    decreases.  The d_eps checks use k_D = 1 and the exponent m, which
+    must be > 1 as model.m must.
     """
     if not m > 1.0:
         raise ConfigError(f"run_property_suite: m must be > 1, got {m}")
@@ -217,16 +198,6 @@ def run_property_suite(eps_list, n_samples: int = 10_000, seed: int = 0,
         si = s[interior]
         fd = (f_eps(si + dhf, eps) - f_eps(si - dhf, eps)) / (2.0 * dhf)
         add("f_prime_is_chi", np.abs(fd - chi_eps(si, eps)), tol=1e-7)
-
-        g = g_eps(s, eps)
-        add("g_below_half_square", g - 0.5 * s * s,
-            tol=1e-12 / eps ** 2)
-        add("g_plateau",
-            np.abs(g[s >= 2.0 / eps] - 8.0 / (7.0 * eps * eps)),
-            tol=1e-12 / eps ** 2)
-        gd = (g_eps(si + dhf, eps) - g_eps(si - dhf, eps)) / (2.0 * dhf)
-        add("g_prime_is_s_chi", np.abs(gd - si * chi_eps(si, eps)),
-            tol=1e-7 * (1.0 + 2.0 / eps))
 
         # C^2 at the breakpoints: one-sided derivative limits agree through
         # order 2.  A merely-C^1 bridge (cubic smoothstep) would show an

@@ -65,6 +65,11 @@ from .spectral import SpectralCache, face_laplacian, neumann_laplacian, \
 DIV_TOL = 1e-10      # projection residual contract
 SOLVE_TOL = 1e-10    # implicit-solve residual contract
 CFL = 0.9            # share of the stability budget one update uses
+# Most density substeps one step may take.  The tests and benchmark runs
+# need at most 192; a million updates of even an 8^2 grid take about a
+# minute (50 us each).  k grows with max(n)^(m-1), so past the cap a run
+# would not end (n = 5 on an 8^2 grid asks for 5e26 at m = 40): it stops.
+MAX_SUBSTEPS = 10**6
 
 
 @dataclass
@@ -358,17 +363,26 @@ def step(grid: Grid, cache: SpectralCache, state: FieldState, model,
     """Advance the coupled state by dt (Lie order u -> c -> n); returns
     the u-step's ||div u||_inf.
 
-    A NaN or infinite substep ratio gives k = 1.  Not recounting k is
-    safe: aggregation can raise max n, and so r_diff, within the n-phase,
-    but only by a fraction of the 0.1 left below 1.
+    A NaN substep ratio gives k = 1; a ratio over MAX_SUBSTEPS, inf
+    included, raises NumericalError before the first n-update.  Not
+    recounting k is safe: aggregation can raise max n, and so r_diff,
+    within the n-phase, but only by a fraction of the 0.1 left below 1.
     """
     if dt <= 0.0:
         raise NumericalError(f"nonpositive dt = {dt} at t = {state.t}")
     div_inf = step_u(grid, cache, state, model, dt)
     step_c(grid, cache, state, model, dt)
     grad_c = c_gradients(grid, state)
-    ratio = dt * sum(stability_rates(grid, state, model, grad_c)) / CFL
-    k = math.ceil(ratio) if 1.0 < ratio < math.inf else 1
+    rates = stability_rates(grid, state, model, grad_c)
+    ratio = dt * sum(rates) / CFL
+    if ratio > MAX_SUBSTEPS:
+        r_adv, r_drift, r_diff = rates
+        raise NumericalError(
+            f"the density update needs k = {ratio:.6g} substeps, over the "
+            f"cap of {MAX_SUBSTEPS:g}: r_adv = {r_adv:.3g}, r_drift = "
+            f"{r_drift:.3g}, r_diff = {r_diff:.3g}, max n = "
+            f"{float(np.max(state.n))}, m = {model.m}, t = {state.t}")
+    k = math.ceil(ratio) if ratio > 1.0 else 1
     terms = frozen_terms(state, grad_c)
     for _ in range(k):
         step_n(grid, state, model, dt / k, terms)
@@ -534,8 +548,9 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
                     state.t = target
                 tallies.update(grid, model, state, dt)
                 steps_taken += 1
-                max_residuals["div_u_inf"] = max(
-                    max_residuals["div_u_inf"], div_inf)
+                # np.maximum, unlike max(), keeps a NaN from any step
+                max_residuals["div_u_inf"] = float(np.maximum(
+                    max_residuals["div_u_inf"], div_inf))
             emit(idx)
     except NumericalError as exc:
         if run_dir:

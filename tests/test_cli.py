@@ -867,6 +867,51 @@ def test_cli_psi_ladder_at_huge_m():
     assert proc.stderr.startswith("error: ") and "m = 1e+160" in proc.stderr
 
 
+def substep_probe(m: float) -> dict:
+    """Constant n = 5 on an 8^2 grid for one step of 1e-3: the density
+    update asks for k ~ 5^(m-1) substeps."""
+    return {"grid": {"cells": [8, 8], "extent": [1.0, 1.0]},
+            "model": {"m": m, "k_D": 1.0, "eps": 0.1},
+            "phi": {"gradient": [0.0, -1.0]},
+            "time": {"t_final": 1e-3, "dt_max": 1e-3},
+            "ic": {"n0": {"preset": "constant", "value": 5.0},
+                   "c0": {"preset": "constant", "value": 1.0}}}
+
+
+def test_cli_substep_count_over_the_cap_exits_2(tmp_path, monkeypatch):
+    """A step whose density update needs more than MAX_SUBSTEPS substeps
+    stops before the first one, naming k, the rates, max n, m and t.
+    Without the cap m = 12 runs 1.4e7 updates, m = 40 never ends (so it
+    runs in a subprocess that fails by timeout if it hangs), and at
+    m = 438.8 r_diff overflows to inf, which took one update."""
+    calls = []
+    monkeypatch.setattr(solver, "step_n", lambda *args: calls.append(args))
+    with pytest.raises(NumericalError) as err:
+        solver.run(parse_config(substep_probe(12.0)))
+    assert calls == []
+    # r_adv is the round-off of the projected rest state
+    message = str(err.value)
+    assert message.startswith("the density update needs k = 1.38889e+07 "
+                              "substeps, over the cap of 1e+06: r_adv = ")
+    assert message.endswith(", r_drift = 0, r_diff = 1.25e+10, max n = "
+                            "5.0, m = 12.0, t = 0.0")
+    with pytest.raises(NumericalError, match="needs k = inf substeps"):
+        solver.run(parse_config(substep_probe(438.8)))
+    assert calls == []
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemostokes.cli", "simulate", "--config",
+         write_json(tmp_path, "probe.json", substep_probe(40.0))],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: the density update "
+                                  "needs k = 5.17401e+26 substeps")
+    assert "m = 40.0, t = 0.0" in proc.stderr
+
+
 def test_cli_ladders_refuse_an_overflowing_pivot(capsys):
     """At m = 1e308 the pivot 9(m-1) is inf: both ladders exit 1 naming m
     and print no row; at m = 1e300 the linear ladder still prints its
@@ -911,12 +956,22 @@ def test_cli_number_flags_exit_1(capsys, argv, fragment):
     assert len(cap.err.splitlines()) == 1
 
 
+REGCHECK_PROPERTIES = [
+    "d_eps_squeeze", "chi_bounds", "chi_low_branch", "chi_high_branch",
+    "f_squeeze", "f_plateau", "f_prime_is_chi", "chi_c2_breakpoints",
+    "f_monotone_in_eps"]
+
+
 def test_cli_regcheck(capsys):
+    """regcheck prints these nine properties per eps, in this order: one
+    for each contract of the functions the solver calls."""
     rc = main(["regcheck", "--eps", "0.5,0.1", "--samples", "400"])
-    cap = capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "regcheck: all properties hold" in cap.out
-    assert "eps=0.5" in cap.out and "eps=0.1" in cap.out
+    assert lines[-1] == "regcheck: all properties hold"
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"eps={eps} {name}" for eps in ("0.5", "0.1")
+        for name in REGCHECK_PROPERTIES]
     assert main(["regcheck", "--eps", "nope"]) == 1
     capsys.readouterr()
     assert main(["regcheck", "--eps", "2.0"]) == 1

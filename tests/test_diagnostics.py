@@ -4,6 +4,7 @@ the repr-exact CSV round trip.
 """
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,8 @@ from chemostokes.diagnostics import (DiagnosticsRecord, RunningTallies,
                                      check_entropy_floor,
                                      check_mass_conservation,
                                      check_quasi_energy, csv_header,
-                                     derive_diagnostics, evaluate, read_csv,
+                                     derive_diagnostics, evaluate, lp_norm,
+                                     read_csv,
                                      resolve_diagnostics, standard_checks,
                                      write_csv, append_csv)
 from chemostokes.grid import Grid, interior
@@ -149,6 +151,45 @@ def test_evaluate_uniform_state_hand_values():
     assert r.lp_norms[2.0] == pytest.approx(2.0 * 4.0 ** 0.5, rel=1e-15)
     assert r.lp_norms[4.0] == pytest.approx(2.0 * 4.0 ** 0.25, rel=1e-15)
     assert r.lp_norms[1.2] == pytest.approx(2.0 * 4.0 ** (1 / 1.2), rel=1e-14)
+
+
+def test_lp_norm_at_large_p_keeps_its_value():
+    """n^p under- or overflows at large p; the norm is then taken scaled
+    by max n.  Every sum that stays a positive finite float keeps the
+    plain formula's bits, and NaN stays NaN."""
+    vol = 0.25
+    for n in (np.array([0.5, 1.5, 2.0, 0.0]), np.array([1e-3, 7.0])):
+        for p in (1.0, 1.2, 2.0, 4.0, 9.5):
+            plain = float(np.sum(np.power(n, p)) * vol) ** (1.0 / p)
+            assert lp_norm(n, p, vol) == plain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_norm(np.full(4, 0.5), 2000.0, vol) == 0.5
+        assert lp_norm(np.full(4, 2.0), 2000.0, vol) == 2.0
+        assert lp_norm(np.array([1.0, 2.0]), 2000.0, 0.5) \
+            == pytest.approx(2.0 * 0.5 ** (1 / 2000), rel=1e-15)
+        assert lp_norm(np.full(4, 1e200), 4.0, vol) \
+            == pytest.approx(1e200, rel=1e-15)
+        assert lp_norm(np.zeros(4), 2000.0, vol) == 0.0
+        assert math.isnan(lp_norm(np.array([1.0, math.nan]), 2000.0, vol))
+
+
+def test_lp_norm_of_the_exponent_m_at_m_2000():
+    """m = 2000 with constant n0 0.5: lp_norm_m recorded 0.0 on every row
+    when 0.5^2000 underflowed."""
+    cfg = parse_config({
+        "grid": {"cells": [8, 8], "extent": [1.0, 1.0]},
+        "model": {"m": 2000.0, "k_D": 1.0, "eps": 0.1},
+        "phi": {"gradient": [0.0, -1.0]},
+        "time": {"t_final": 1e-3, "dt_max": 1e-3},
+        "ic": {"n0": {"preset": "constant", "value": 0.5},
+               "c0": {"preset": "constant", "value": 1.0}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        records = run(cfg).records
+    assert len(records) == 2
+    for r in records:
+        assert r.lp_norms[2000.0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_entropy_floor_is_attained_not_crossed():

@@ -31,37 +31,16 @@ def test_rho_pivot_factorization():
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
-def test_rho_positive_beyond_delta1():
+def test_rho_positive_at_the_psi_seed():
+    """The psi ladder's seed 9(m-1) - delta2/2 lies inside rho's margin
+    too: rho(p0) > 0 over (9/8, 3] and on a log sweep up to 1e150."""
     rng = np.random.default_rng(11)
-    count = 0
-    while count < 1000:
-        m = rng.uniform(215.0 / 192.0 + 1e-6, 3.0)
-        d1 = ex.delta1(m)
-        p = 9.0 * (m - 1.0) - d1 + rng.uniform(1e-9, 50.0)
-        assert ex.rho(p, m) > 0.0
-        count += 1
-
-
-def test_delta1_against_polynomial_roots():
-    for m in (1.2, 1.25, 1.5, 2.0, 2.75):
-        roots = np.roots([20.0, -(33.0 - 12.0 * m), -18.0 * (m - 1.0)])
-        p_plus = float(np.max(roots))
-        piv = 9.0 * (m - 1.0)
-        assert ex.delta1(m) == pytest.approx(piv - p_plus, rel=1e-12)
-        assert 0.0 < ex.delta1(m) < piv
-
-
-def test_delta1_frozen_value():
-    # p_plus = (18.6 + sqrt(18.6^2 + 288)) / 40 at m = 1.2
-    assert ex.delta1(1.2) == pytest.approx(0.7055359422492808, abs=1e-14)
-
-
-def test_delta1_domain():
-    with pytest.raises(ExponentDomainError):
-        ex.delta1(215.0 / 192.0)
-    with pytest.raises(ExponentDomainError):
-        ex.delta1(1.0)
-    assert ex.delta1(215.0 / 192.0 + 1e-9) > 0.0
+    ms = np.concatenate([rng.uniform(1.125 + 1e-6, 3.0, size=1000),
+                         1.125 + np.logspace(-12, 150, 500)])
+    for m in ms:
+        p0 = ex.run_psi_ladder(m, 1.0 + 1e-9).entries[0].p
+        assert p0 == max(1.0 + 1e-6, ex.pivot(m) - ex.delta2(m) / 2.0)
+        assert ex.rho(p0, m) > 0.0, m
 
 
 # ---------- psi / q / identity ----------
@@ -221,8 +200,7 @@ def test_psi_ladder_m125_escape():
     assert lad.entries[-1].p > 1e6
     assert len(lad.entries) <= 40
     p0 = lad.entries[0].p
-    d1, d2 = ex.delta1(1.25), ex.delta2(1.25)
-    assert p0 == pytest.approx(2.25 - min(d1, d2) / 2.0, rel=1e-14)
+    assert p0 == pytest.approx(2.25 - ex.delta2(1.25) / 2.0, rel=1e-14)
     gam = ex.gamma_of(1.25)
     for entry in lad.entries:
         assert entry.growth_ok
@@ -280,6 +258,6 @@ def test_ladder_domains_reject_nan():
     for args in ((nan, 1e6), (1.25, nan)):
         with pytest.raises(ExponentDomainError):
             ex.run_psi_ladder(*args)
-    for fun in (ex.threshold_certificate, ex.delta1):
+    for fun in (ex.threshold_certificate, ex.delta2):
         with pytest.raises(ExponentDomainError):
             fun(nan)
