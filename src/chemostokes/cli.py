@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--eps", type=_finite_list, required=True,
                        help="comma-separated eps values, e.g. 0.1,0.05")
     p_reg.add_argument("--samples", type=int, default=10_000)
-    p_reg.add_argument("--m", type=_finite, default=1.2,
-                       help="diffusion exponent for the d_eps checks, > 1")
     return parser
 
 
@@ -107,7 +105,7 @@ def _cmd_simulate(args) -> int:
         status = "pass" if check.passed else "FAIL"
         print(f"{check.name}: {status} (max_deviation={check.max_deviation:.6g}"
               f" at t={check.at_time:g})")
-    where = result.run_dir or "(no output dir)"
+    where = result.config.output_dir or "(no output dir)"
     print(f"completed {result.steps_taken} steps to t={result.state.t:g}; "
           f"outputs in {where}")
     return 0
@@ -143,7 +141,7 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_regcheck(args) -> int:
     reports = run_property_suite(args.eps, n_samples=args.samples,
-                                 seed=args.seed or 0, m=args.m)
+                                 seed=args.seed or 0)
     all_ok = True
     for report in reports:
         for res in report.results:

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .grid import Grid
 
+# Most samples one run may record, t_final / sample_every.  The run lists
+# every sample time before its first step: a million take 0.2 s and 38 MiB,
+# a billion would take 38 GiB.  The tests need at most about 800.
+MAX_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -215,6 +220,9 @@ def parse_config(source) -> SimConfig:
         _num(tm["sample_every"], "time.sample_every")
     _check(sample_every is None or 0.0 < sample_every <= t_final,
            f"time.sample_every: must lie in (0, t_final], got {sample_every}")
+    _check(sample_every is None or t_final / sample_every <= MAX_SAMPLES,
+           f"time.sample_every: t_final / sample_every must be <= "
+           f"{MAX_SAMPLES:g}, got {sample_every} for t_final {t_final}")
     time = TimeParams(t_final=t_final, dt_max=dt_max,
                       sample_every=sample_every)
 

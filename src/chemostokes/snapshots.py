@@ -75,12 +75,12 @@ def read_field(path: str, expect_sha256: str | None = None):
     return data.reshape(shape, order="F").astype(float), float(t)
 
 
-def write_snapshot(run_dir: str, index: int, state, dim: int) -> dict:
+def write_snapshot(run_dir: str, index: int, state) -> dict:
     """Write all fields of one sample; returns the manifest files entry."""
     snap_dir = os.path.join(run_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     fields = {"n": state.n, "c": state.c, "p": state.p,
-              **{f"u{a}": state.u[a] for a in range(dim)}}
+              **{f"u{a}": ua for a, ua in enumerate(state.u)}}
     files = {}
     for name, arr in fields.items():
         rel = os.path.join("snapshots", f"sample_{index:06d}_{name}.bin")

@@ -343,9 +343,8 @@ def stability_rates(grid: Grid, state: FieldState, model,
     max_n = float(np.max(state.n))
     try:
         max_d = model.k_d * max_n ** (model.m - 1.0) + model.eps
-    except OverflowError:
-        raise NumericalError(f"max n ** (m - 1) overflows: m = {model.m}, "
-                             f"max n = {max_n}, t = {state.t}") from None
+    except OverflowError:   # step()'s substep cap stops an infinite rate
+        max_d = math.inf
     r_diff = sum(2.0 * max_d / (grid.h[a] * grid.h[a])
                  for a in range(grid.dim))
     return r_adv, r_drift, r_diff
@@ -402,7 +401,6 @@ class RunResult:
     checks: list
     state: FieldState
     steps_taken: int
-    run_dir: str | None
     max_residuals: dict     # verify_solves()'s, and div_u_inf over steps
 
 
@@ -503,6 +501,10 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         # the first row's mass and max c give the constants bit for bit
         diag = derive_diagnostics(cfg.diagnostics, model, grid,
                                   records[0].mass, records[0].c_max)
+        found = tuple(records[0].lp_norms)
+        if found != diag.lp:
+            raise ConfigError(f"resume: damaged {csv_path}: lp_norm columns "
+                              f"for p = {found}, not {diag.lp}")
         manifest["status"] = "running"
         manifest.pop("error", None)
     else:
@@ -527,7 +529,7 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         records.append(rec)
         if run_dir:
             append_csv(csv_path, rec, diag.lp)
-            files = write_snapshot(run_dir, index, state, grid.dim)
+            files = write_snapshot(run_dir, index, state)
             manifest["samples"].append({
                 "index": index, "t": state.t, "step_count": steps_taken,
                 "files": files,
@@ -566,5 +568,5 @@ def run(cfg: SimConfig, resume: bool = False) -> RunResult:
         manifest["status"] = "complete"
         write_manifest(run_dir, manifest)
     return RunResult(config=cfg, grid=grid, records=records, checks=checks,
-                     state=state, steps_taken=steps_taken, run_dir=run_dir,
+                     state=state, steps_taken=steps_taken,
                      max_residuals=max_residuals)

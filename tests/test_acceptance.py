@@ -146,7 +146,7 @@ def test_criterion_2_ladders():
 def test_criterion_3_regularization_suite():
     t0 = time.perf_counter()
     reports = run_property_suite((0.5, 0.1, 0.05, 0.01),
-                                 n_samples=10_000, seed=7, m=1.2)
+                                 n_samples=10_000, seed=7)
     for report in reports:
         failed = [r.name for r in report.results if not r.passed]
         assert not failed, f"eps={report.eps}: {failed}"

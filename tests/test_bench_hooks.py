@@ -1,23 +1,28 @@
-"""The benchmark's tracer still fits the package it patches.
+"""The benchmark still fits the package it measures.
 
 perfbench/tracer.py wraps each function where its caller looks the name
 up (``solver.full_faces``, ``spectral.dctn``, ...), and two of its hooks
 read what ``stability_rates`` returns and which argument of ``choose_dt``
-is dt_max.  A rename, deletion or signature change in the package would
-only surface when a traced benchmark run installs the tracer; these tests
+is dt_max.  The workloads call the package's API (``init_state``'s
+keywords, ``RunResult``'s fields, ``load_snapshot``'s arguments, ...).  A
+rename, deletion or signature change in the package would only surface
+when the benchmark runs; these tests, perfbench/selftest.py among them,
 surface it in the test suite instead.  The tracer is loaded by path (it
 imports only the standard library).
 """
 
 import importlib.util
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 from chemostokes import solver
 from chemostokes.config import parse_config
 from chemostokes.solver import CFL, run, stability_rates
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -110,3 +115,13 @@ def test_tracer_sees_every_density_update(monkeypatch):
     assert calls["solver.step"] == len(steps) == result.steps_taken == 5
     assert min(s["k"] for s in steps) >= 2
     assert calls["solver.step_n"] == sum(s["k"] for s in steps)
+
+
+def test_benchmark_selftest_passes():
+    """Every workload at tiny sizes, untraced and traced, through the calls
+    the benchmark makes; the script's own checks are the assertions."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("selftest passed\n")

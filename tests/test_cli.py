@@ -12,6 +12,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -24,7 +25,7 @@ import pytest
 
 from chemostokes import solver, spectral
 from chemostokes.cli import main
-from chemostokes.config import config_to_dict, parse_config
+from chemostokes.config import MAX_SAMPLES, config_to_dict, parse_config
 from chemostokes.errors import ConfigError, NumericalError
 from chemostokes.grid import Grid
 from chemostokes.sweep import (SweepSpec, apply_override, parse_sweep,
@@ -518,9 +519,10 @@ def test_cli_broken_solver_exits_2_at_set_up(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_overflowing_diffusivity_exits_2(tmp_path, capsys):
-    """max n ** (m - 1) overflowing a float ends the run with exit 2,
-    naming m, max n and t, instead of an OverflowError traceback; a NaN
-    max n still passes through the stability rates."""
+    """max n ** (m - 1) overflowing a float makes the diffusive rate inf,
+    which the substep cap stops with exit 2, naming the rates, max n, m
+    and t, instead of an OverflowError traceback; a NaN max n still
+    passes through the stability rates."""
     cfg = json.loads(json.dumps(TINY))
     cfg["grid"]["cells"] = [8, 8]
     cfg["model"]["m"] = 2000
@@ -529,7 +531,9 @@ def test_cli_overflowing_diffusivity_exits_2(tmp_path, capsys):
     assert main(["--output-dir", str(tmp_path / "out"), "simulate",
                  "--config", write_json(tmp_path, "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err
-    assert "m = 2000.0, max n = 2.0, t = 0.0" in err
+    assert err.startswith("numerical failure: the density update needs "
+                          "k = inf substeps")
+    assert err.endswith("r_diff = inf, max n = 2.0, m = 2000.0, t = 0.0\n")
     parsed = parse_config(cfg)
     grid = Grid(parsed.grid_cells, parsed.grid_extent)
     state = solver.FieldState(t=0.0, n=np.full(grid.cells, np.nan),
@@ -543,7 +547,9 @@ def test_cli_overflowing_diffusivity_exits_2(tmp_path, capsys):
     pytest.param(["simulate"], id="no-config"),
     pytest.param(["--threads", "x", "sweep", "--spec", "s.json"],
                  id="threads-x"),
-    pytest.param(["bogus"], id="unknown-command")])
+    pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["regcheck", "--eps", "0.1", "--m", "1.2"],
+                 id="regcheck-m")])
 def test_cli_usage_errors_exit_1(capsys, argv):
     """Exit 2 means a numerical failure; a usage error is invalid input."""
     assert main(argv) == 1
@@ -634,6 +640,37 @@ def test_cli_resume_refuses_an_integer_over_the_digit_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: manifest") and "digits" in err \
         and len(err.splitlines()) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
+def test_cli_resume_refuses_a_csv_without_an_lp_column(tmp_path, capsys):
+    """A diagnostics.csv that lacks one of the config's lp_norm columns is
+    a damaged run directory: resume exits 1 with one error line and
+    rewrites nothing (it used to end in a KeyError traceback, leaving the
+    CSV with its header alone)."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["grid"]["cells"] = [8, 8]
+    cfg["time"].update(t_final=4e-3, sample_every=1e-3)
+    out = tmp_path / "out"
+    argv = ["--output-dir", str(out), "simulate", "--config",
+            write_json(tmp_path, "cfg.json", cfg)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["samples"] = manifest["samples"][:2]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with open(out / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("lp_norm_4")
+    with open(out / "diagnostics.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            row[:drop] + row[drop + 1:] for row in rows)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([*argv, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resume: damaged ") \
+        and "diagnostics.csv" in err and len(err.splitlines()) == 1
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
         == before
 
@@ -912,6 +949,50 @@ def test_cli_substep_count_over_the_cap_exits_2(tmp_path, monkeypatch):
     assert "m = 40.0, t = 0.0" in proc.stderr
 
 
+def cli_in_a_small_process(*argv):
+    """`python -m chemostokes.cli argv` in a child held to 1 GiB of address
+    space and 60 s, so that a size the program fails to refuse fails the
+    test instead of allocating."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "chemostokes.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("sample_every", [1e-9, 1e-300])
+def test_cli_sample_count_over_the_cap_exits_1(tmp_path, sample_every):
+    """t_final / sample_every over MAX_SAMPLES exits 1 naming
+    time.sample_every, before the run lists its sample times (a billion
+    floats at 1e-9) or makes its output directory."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["time"].update(t_final=1.0, sample_every=sample_every)
+    out = tmp_path / "out"
+    proc = cli_in_a_small_process(
+        "--output-dir", str(out), "simulate", "--config",
+        write_json(tmp_path, "cfg.json", cfg))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: time.sample_every: ") \
+        and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+    cfg["time"]["sample_every"] = 1.0 / MAX_SAMPLES
+    assert parse_config(cfg).time.sample_every == 1e-6
+
+
+def test_cli_regcheck_sample_count_over_the_cap_exits_1():
+    """--samples over MAX_PROPERTY_SAMPLES exits 1 before the suite
+    allocates (10^13 samples asked numpy for 72.8 TiB)."""
+    proc = cli_in_a_small_process("regcheck", "--eps", "0.1", "--samples",
+                                  "10000000000000")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: run_property_suite: n_samples must lie "
+                           "in [1, 1e+06], got 10000000000000\n")
+
+
 def test_cli_ladders_refuse_an_overflowing_pivot(capsys):
     """At m = 1e308 the pivot 9(m-1) is inf: both ladders exit 1 naming m
     and print no row; at m = 1e300 the linear ladder still prints its
@@ -937,10 +1018,6 @@ def test_cli_ladders_refuse_an_overflowing_pivot(capsys):
                   "--p0", "nan"], "argument --p0", id="p0-nan"),
     pytest.param(["exponents", "--m", "nan", "--ladder", "linear"],
                  "argument --m", id="m-nan"),
-    pytest.param(["regcheck", "--eps", "0.1", "--m", "nan"],
-                 "argument --m", id="regcheck-m-nan"),
-    pytest.param(["regcheck", "--eps", "0.1", "--m", "0.5"],
-                 "m must be > 1", id="regcheck-m-below-1"),
     pytest.param(["regcheck", "--eps", "0.1,inf"], "argument --eps",
                  id="regcheck-eps-inf"),
     pytest.param(["--seed", "-1", "regcheck", "--eps", "0.1", "--samples",

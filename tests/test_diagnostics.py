@@ -23,7 +23,7 @@ from chemostokes.diagnostics import (DiagnosticsRecord, RunningTallies,
                                      read_csv,
                                      resolve_diagnostics, standard_checks,
                                      write_csv, append_csv)
-from chemostokes.grid import Grid, interior
+from chemostokes.grid import Grid, grad_squared_cells, interior
 from chemostokes.regularization import f_eps
 from chemostokes.solver import FieldState, init_state, run
 
@@ -192,9 +192,38 @@ def test_lp_norm_of_the_exponent_m_at_m_2000():
         assert r.lp_norms[2000.0] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_dissipation_n_at_large_m_is_never_nan():
+    """n^(m/2) overflows at m = 4000: a flat n = 2 recorded NaN (inf - inf)
+    instead of 0, and a field with max n = 2 NaN instead of +inf, its
+    value being beyond the float range.  At m = 1e200 (2/m)^2 underflows
+    to 0 as well.  Where the plain formula is finite, its bits are kept."""
+    grid = Grid((8, 8), (1.0, 1.0))
+    flat = uniform_state(grid, 2.0, 1.0)
+    bumpy = uniform_state(grid, 1.0, 1.0)
+    bumpy.n[3, 4] = 2.0
+    bumpy.n[5, 1] = 0.25
+
+    def dissipation_n(m, state):
+        model = ModelParams(m=m, k_d=1.0, eps=0.1, phi_gradient=(0.0, -1.0))
+        diag = resolve_diagnostics(DiagnosticsParams(), model, grid,
+                                   state.n, state.c)
+        return evaluate(grid, model, diag, state,
+                        RunningTallies()).dissipation_n
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (4000.0, 1e200):
+            assert dissipation_n(m, flat) == 0.0
+            assert dissipation_n(m, bumpy) == math.inf
+    for m in (1.2, 2.0, 40.0, 1000.0):
+        gn2 = grad_squared_cells(grid, np.power(bumpy.n, 0.5 * m))
+        plain = (2.0 / m) ** 2 * float(np.sum(gn2)) * grid.cell_volume
+        assert math.isfinite(plain) and dissipation_n(m, bumpy) == plain
+
+
 def test_entropy_floor_is_attained_not_crossed():
     # n == 1/e minimizes x log x pointwise; the summed entropy sits exactly
-    # on -|Omega|/e and evaluate() must accept it
+    # on -|Omega|/e
     grid = Grid((6, 6), (3.0, 3.0))
     state = uniform_state(grid, 1.0 / np.e, 1.0)
     diag = resolve_diagnostics(DiagnosticsParams(), MODEL, grid,

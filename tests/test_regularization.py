@@ -188,9 +188,6 @@ def test_property_suite_validation():
         reg.run_property_suite([1.5])
     with pytest.raises(ConfigError):
         reg.run_property_suite([0.1], n_samples=0)
-
-
-@pytest.mark.parametrize("m", [1.0, 0.5, np.nan])
-def test_property_suite_requires_m_above_1(m):
-    with pytest.raises(ConfigError, match="m must be > 1"):
-        reg.run_property_suite([0.1], n_samples=10, m=m)
+    with pytest.raises(ConfigError):
+        reg.run_property_suite([0.1],
+                               n_samples=reg.MAX_PROPERTY_SAMPLES + 1)
